@@ -45,7 +45,7 @@ int main() {
               net.good_event.to_string().c_str());
 
   DiffProv diffprov(spec, provider);
-  const DiffProvResult result = diffprov.diagnose(*good, net.bad_event);
+  const DiffProvResult result = diffprov.diagnose(*good, net.bad_event, run);
   std::printf("%s", result.to_string().c_str());
   const bool exact = result.ok() && result.changes.size() == 1 &&
                      result.changes[0].before &&

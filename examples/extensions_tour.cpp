@@ -28,7 +28,7 @@ int main() {
   std::printf("Diagnosing %s with NO reference given...\n",
               s.bad_event.to_string().c_str());
   const AutoDiagnosis auto_result =
-      diagnose_with_auto_reference(diffprov, *run.graph, s.bad_event);
+      diagnose_with_auto_reference(diffprov, run, s.bad_event);
   if (auto_result.reference) {
     std::printf("  auto-selected reference: %s (tried %zu candidate(s))\n",
                 auto_result.reference->to_string().c_str(),
@@ -77,7 +77,7 @@ int main() {
   const auto dns_good = locate_tree(*dns_run.graph, d.good_event);
   DiffProv dns_diffprov(d.program, dns_provider);
   const DiffProvResult dns_result =
-      dns_diffprov.diagnose(*dns_good, d.bad_event);
+      dns_diffprov.diagnose(*dns_good, d.bad_event, dns_run);
   std::printf("%s", dns_result.to_string().c_str());
   std::printf(
       "\nNothing in src/diffprov knows about switches, reducers or\n"

@@ -53,9 +53,10 @@ int main() {
   std::printf("Provenance of Bob's bad reply (%zu vertexes):\n%s\n",
               bad_tree->size(), bad_tree->to_text().c_str());
 
-  // 4. Ask DiffProv: why did Bob get 199 when Alice got 41?
+  // 4. Ask DiffProv: why did Bob get 199 when Alice got 41? The run above
+  // is the bad execution too, so diagnose() reuses it instead of replaying.
   DiffProv diffprov(program, provider);
-  const DiffProvResult result = diffprov.diagnose(*good_tree, bad_reply);
+  const DiffProvResult result = diffprov.diagnose(*good_tree, bad_reply, run);
   std::printf("%s", result.to_string().c_str());
   std::printf(
       "\nDiffProv aligned the two trees and found the one mutable base\n"

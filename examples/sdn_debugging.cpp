@@ -31,8 +31,8 @@ int main() {
 
   // Query both provenance trees, as an operator armed with a classical
   // provenance system (Y!) would.
-  LogReplayProvider query_provider(s.program, s.topology, s.log);
-  const BadRun run = query_provider.replay_bad({});
+  LogReplayProvider provider(s.program, s.topology, s.log);
+  const BadRun run = provider.replay_bad({});
   const auto good = locate_tree(*run.graph, s.good_event);
   const auto bad = locate_tree(*run.graph, s.bad_event);
   if (!good || !bad) {
@@ -47,10 +47,9 @@ int main() {
               "differing vertexes to read -- the butterfly effect.\n\n",
               diff.diff_size());
 
-  // DiffProv: one change.
-  LogReplayProvider provider(s.program, s.topology, s.log);
+  // DiffProv: one change. The query run above is the initial bad run.
   DiffProv diffprov(s.program, provider);
-  const DiffProvResult result = diffprov.diagnose(*good, s.bad_event);
+  const DiffProvResult result = diffprov.diagnose(*good, s.bad_event, run);
   std::printf("%s", result.to_string().c_str());
   if (result.ok() && !result.changes.empty()) {
     std::printf(

@@ -80,9 +80,10 @@ std::vector<ReferenceCandidate> suggest_references(
 }
 
 AutoDiagnosis diagnose_with_auto_reference(DiffProv& diffprov,
-                                           const ProvenanceGraph& bad_graph,
+                                           const BadRun& bad_run,
                                            const Tuple& bad_event,
                                            std::size_t limit) {
+  const ProvenanceGraph& bad_graph = *bad_run.graph;
   AutoDiagnosis out;
   out.result.status = DiffProvStatus::kBadEventNotFound;
   out.result.message = "no reference candidate produced a diagnosis";
@@ -94,7 +95,7 @@ AutoDiagnosis diagnose_with_auto_reference(DiffProv& diffprov,
       const auto tree = locate_tree(bad_graph, candidate.event);
       if (!tree) continue;
       ++out.candidates_tried;
-      DiffProvResult result = diffprov.diagnose(*tree, bad_event);
+      DiffProvResult result = diffprov.diagnose(*tree, bad_event, bad_run);
       const bool succeeded = result.ok();
       out.result = std::move(result);
       if (succeeded) {

@@ -1,5 +1,8 @@
 #include "mapred/scenario.h"
 
+#include <chrono>
+#include <future>
+
 namespace dp::mapred {
 
 namespace {
@@ -157,14 +160,24 @@ Diagnosis diagnose(const Scenario& scenario, const DiffProvConfig& config) {
         scenario.store, scenario.bad_config);
   }
 
-  const BadRun good_run = good_provider->replay_bad({});
+  // The two jobs are independent executions, so their replays overlap (the
+  // paper batches the good- and bad-tree replays, section 6.6).
+  const auto replay_start = std::chrono::steady_clock::now();
+  auto good_future = std::async(std::launch::async, [&good_provider] {
+    return good_provider->replay_bad({});
+  });
+  const BadRun bad_run = bad_provider->replay_bad({});
+  const BadRun good_run = good_future.get();
+  const double job_replay_us =
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - replay_start)
+          .count();
   auto good_tree = locate_tree(*good_run.graph, scenario.good_event);
   if (!good_tree) {
     throw ProgramError(scenario.name + ": reference event " +
                        scenario.good_event.to_string() +
                        " not found in the good job");
   }
-  const BadRun bad_run = bad_provider->replay_bad({});
   auto bad_tree = locate_tree(*bad_run.graph, scenario.bad_event);
   if (!bad_tree) {
     throw ProgramError(scenario.name + ": event of interest " +
@@ -173,9 +186,10 @@ Diagnosis diagnose(const Scenario& scenario, const DiffProvConfig& config) {
   }
 
   DiffProv diffprov(scenario.model, *bad_provider, config);
-  DiffProvResult result = diffprov.diagnose(*good_tree, scenario.bad_event);
+  DiffProvResult result =
+      diffprov.diagnose(*good_tree, scenario.bad_event, bad_run);
   return Diagnosis{std::move(*good_tree), std::move(*bad_tree),
-                   std::move(result)};
+                   std::move(result), job_replay_us};
 }
 
 }  // namespace dp::mapred

@@ -40,10 +40,14 @@ std::vector<Scenario> all_scenarios(CorpusConfig corpus = {});
 
 /// Queries the reference tree from the scenario's *good* job and runs the
 /// diagnosis against its *bad* job, using the variant-appropriate provider.
+/// The two jobs replay concurrently, and the bad job's replay is the
+/// diagnosis's initial run, so a diagnosis replays 2 + its UpdateTree
+/// replays (`result.timing.replays`).
 struct Diagnosis {
   ProvTree good_tree;
   ProvTree bad_tree;
   DiffProvResult result;
+  double job_replay_us = 0;  // wall time of the overlapped job replays
 };
 Diagnosis diagnose(const Scenario& scenario,
                    const DiffProvConfig& config = {});

@@ -1,6 +1,7 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <numeric>
 
@@ -348,10 +349,26 @@ void Engine::step_queue(bool bounded, LogicalTime until) {
   // batch with ineligible events processed solo in between. Short runs keep
   // the per-pop path below: for them the scan and heap rebuild would cost
   // more than the sifts they replace.
+  //
+  // The run is counted without scanning the heap: t is the minimum time, so
+  // every ancestor of a time-t event also has time t, and the run is a
+  // subtree holding the root. A depth-first walk of that subtree stops at
+  // kBulkDrainMin; each step pops one index and pushes at most two, so the
+  // stack never holds more than kBulkDrainMin + 1.
   constexpr std::size_t kBulkDrainMin = 64;
   std::size_t same_time = 0;
-  for (const Event& event : queue_) {
-    if (event.time == t && ++same_time >= kBulkDrainMin) break;
+  {
+    std::array<std::size_t, kBulkDrainMin + 1> stack;
+    std::size_t depth = 0;
+    stack[depth++] = 0;
+    while (depth > 0 && same_time < kBulkDrainMin) {
+      const std::size_t node = stack[--depth];
+      ++same_time;
+      for (std::size_t child = 2 * node + 1;
+           child <= 2 * node + 2 && child < queue_.size(); ++child) {
+        if (queue_[child].time == t) stack[depth++] = child;
+      }
+    }
   }
   if (same_time >= kBulkDrainMin) {
     const auto mid =

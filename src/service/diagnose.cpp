@@ -22,6 +22,11 @@ DiagnoseOutcome diagnose_problem(const Problem& problem,
                                  std::shared_ptr<const BadRun> warm_run) {
   DiagnoseOutcome outcome;
 
+  // One provider serves the initial replay and DiffProv's UpdateTree
+  // replays, so the log is copied once.
+  LogReplayProvider provider(problem.program, problem.topology, problem.log,
+                             replay_options);
+
   // The initial bad run: reuse the warm resident replay when the session
   // manager supplies one, else replay the log (the cold path).
   BadRun run;
@@ -30,9 +35,7 @@ DiagnoseOutcome diagnose_problem(const Problem& problem,
     run = *warm_run;
   } else {
     const auto replay_start = std::chrono::steady_clock::now();
-    LogReplayProvider query_provider(problem.program, problem.topology,
-                                     problem.log, replay_options);
-    run = query_provider.replay_bad({});
+    run = provider.replay_bad({});
     outcome.profile.initial_replay_us = micros_since(replay_start);
   }
 
@@ -51,8 +54,6 @@ DiagnoseOutcome diagnose_problem(const Problem& problem,
   }
   if (spec.want_dot) outcome.dot = bad_tree->to_dot();
 
-  LogReplayProvider provider(problem.program, problem.topology, problem.log,
-                             replay_options);
   DiffProv diffprov(problem.program, provider);
   DiffProvResult result;
   if (spec.good_event) {
@@ -69,12 +70,10 @@ DiagnoseOutcome diagnose_problem(const Problem& problem,
                      std::to_string(good_tree->size()) + " vertexes):\n" +
                      good_tree->to_text() + "\n";
     }
-    // A warm run stands in for the replay diagnose() would otherwise do
-    // first: replay is deterministic, so the result -- and therefore the
-    // rendered text -- is identical either way.
-    result = warm_run != nullptr
-                 ? diffprov.diagnose(*good_tree, spec.bad_event, run)
-                 : diffprov.diagnose(*good_tree, spec.bad_event);
+    // The run located above stands in for the replay diagnose() would
+    // otherwise do first: replay is deterministic, so the result -- and
+    // therefore the rendered text -- is identical either way.
+    result = diffprov.diagnose(*good_tree, spec.bad_event, run);
     outcome.profile.timing = result.timing;
     if (spec.minimize && result.ok()) {
       const auto minimize_start = std::chrono::steady_clock::now();
@@ -82,8 +81,8 @@ DiagnoseOutcome diagnose_problem(const Problem& problem,
       outcome.profile.minimize_us = micros_since(minimize_start);
     }
   } else {
-    const AutoDiagnosis auto_result = diagnose_with_auto_reference(
-        diffprov, *run.graph, spec.bad_event);
+    const AutoDiagnosis auto_result =
+        diagnose_with_auto_reference(diffprov, run, spec.bad_event);
     if (auto_result.reference) {
       outcome.out += "auto-selected reference: " +
                      auto_result.reference->to_string() + " (after trying " +

@@ -86,7 +86,8 @@ std::string render_profile_json(const DiagnoseProfile& profile,
       << ",\"minimize_us\":" << phases[10]
       << ",\"other_us\":" << other << "}"
       << ",\"rounds\":" << profile.rounds
-      << ",\"replays\":" << profile.timing.replays
+      << ",\"replays\":"
+      << profile.timing.replays + (profile.warm_reuse ? 0 : 1)
       << ",\"good_tree_size\":" << profile.good_tree_size
       << ",\"bad_tree_size\":" << profile.bad_tree_size
       << ",\"vertices_delta\":" << vertices_delta

@@ -171,7 +171,7 @@ TEST(Reference, SuggestsAndDiagnosesSdn1Automatically) {
   LogReplayProvider provider(s.program, s.topology, s.log);
   DiffProv diffprov(s.program, provider);
   const AutoDiagnosis result =
-      diagnose_with_auto_reference(diffprov, *run.graph, s.bad_event);
+      diagnose_with_auto_reference(diffprov, run, s.bad_event);
   ASSERT_TRUE(result.result.ok()) << result.result.to_string();
   ASSERT_TRUE(result.reference.has_value());
   EXPECT_NE(result.result.changes[0].to_string().find("4.3.2.0/23"),
@@ -191,7 +191,7 @@ TEST(Reference, ReportsFailureWhenNoCandidateWorks) {
   const BadRun run = provider.replay_bad({});
   DiffProv diffprov(program, provider);
   const AutoDiagnosis result = diagnose_with_auto_reference(
-      diffprov, *run.graph, parse_tuple("b(@n, 1)"));
+      diffprov, run, parse_tuple("b(@n, 1)"));
   EXPECT_FALSE(result.result.ok());
   EXPECT_FALSE(result.reference.has_value());
 }

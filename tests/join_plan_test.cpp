@@ -188,6 +188,53 @@ TEST(JoinPlanCrossVariant, ScenarioCountMatchesInstantiation) {
   EXPECT_EQ(all_scenario_runs().size(), 8u);
 }
 
+TEST(JoinPlanCrossVariant, RunsAroundTheBulkDrainThresholdUnderADeepHeap) {
+  // The batch engine counts a same-time run by walking the heap's time-t
+  // subtree from the root and stops at 64. Scheduling 10k later-time events
+  // first leaves each run scattered deep in a large heap; runs of 63, 64 and
+  // 65 inserts straddle the bulk-drain threshold, and every insert derives a
+  // same-time tuple that joins the run while it drains.
+  ScenarioRun scenario{"bulk_drain_threshold", parse_program(R"(
+    table bg(2) base immutable event.
+    table a(2) base immutable event.
+    table b(2) derived.
+    table seen(2) derived event.
+    table out(2) derived event.
+    rule r0 seen(@N, I) :- bg(@N, I).
+    rule r1 b(@N, K) :- a(@N, K).
+    rule r2 out(@N, K) :- b(@N, K).
+  )"),
+                       Topology{}, EventLog{}};
+  for (int i = 0; i < 10'000; ++i) {
+    scenario.log.append_insert(
+        Tuple("bg", {Value("n" + std::to_string(i % 4)), Value(i)}),
+        1000 + i);
+  }
+  LogicalTime t = 10;
+  for (const int run : {63, 64, 65}) {
+    for (int k = 0; k < run; ++k) {
+      scenario.log.append_insert(
+          Tuple("a", {Value("n" + std::to_string(k % 4)), Value(k)}), t);
+    }
+    t += 10;
+  }
+
+  const RunResult scanned = run_scenario(scenario, Variant::kFullScan);
+  const RunResult row = run_scenario(scenario, Variant::kRow);
+  const RunResult batch = run_scenario(scenario, Variant::kBatch);
+  for (const RunResult* variant : {&row, &batch}) {
+    EXPECT_EQ(variant->stats.events_processed, scanned.stats.events_processed);
+    EXPECT_EQ(variant->stats.derivations, scanned.stats.derivations);
+    EXPECT_EQ(variant->stats.tuples_matched, scanned.stats.tuples_matched);
+    EXPECT_EQ(variant->support_entries, scanned.support_entries);
+    EXPECT_EQ(variant->live, scanned.live);
+    expect_identical_graphs(variant->graph, scanned.graph);
+  }
+  EXPECT_EQ(batch.stats.index_probes, row.stats.index_probes);
+  EXPECT_EQ(batch.stats.tuples_scanned, row.stats.tuples_scanned);
+  EXPECT_EQ(scanned.live.at("b").size(), 65u);
+}
+
 // ------------------------------------------------------ index maintenance --
 
 TableDecl keyed_decl() {

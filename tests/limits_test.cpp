@@ -65,7 +65,7 @@ TEST(Integration, AutoReferenceWorksOnDns) {
   const BadRun run = provider.replay_bad({});
   DiffProv diffprov(s.program, provider);
   const AutoDiagnosis result =
-      diagnose_with_auto_reference(diffprov, *run.graph, s.bad_event);
+      diagnose_with_auto_reference(diffprov, run, s.bad_event);
   ASSERT_TRUE(result.result.ok()) << result.result.to_string();
   ASSERT_TRUE(result.reference.has_value());
   EXPECT_EQ(result.reference->table(), "response");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "mapred/scenario.h"
+#include "obs/metrics.h"
 
 namespace dp::mapred {
 namespace {
@@ -202,6 +203,24 @@ TEST(MrScenarios, ImperativeAndDeclarativeAgreeOnTheRootCause) {
   ASSERT_TRUE(dd.result.ok()) << dd.result.to_string();
   ASSERT_TRUE(di.result.changes[0].after && dd.result.changes[0].after);
   EXPECT_EQ(*di.result.changes[0].after, *dd.result.changes[0].after);
+}
+
+TEST(MrScenarios, DeclarativeDiagnosisReplaysEachJobOncePlusOncePerRound) {
+  // The good and bad jobs replay once each (concurrently); the bad job's
+  // replay is the diagnosis's initial run, so DiffProv replays only for
+  // UpdateTree, once per round.
+  for (const Scenario& s : {mr1_declarative(), mr2_declarative()}) {
+    obs::Counter& replays =
+        obs::default_registry().counter("dp.replay.replays");
+    const std::uint64_t before = replays.value();
+    const Diagnosis d = diagnose(s);
+    const std::uint64_t made = replays.value() - before;
+    ASSERT_TRUE(d.result.ok()) << s.name << ": " << d.result.to_string();
+    EXPECT_EQ(made, 2u + static_cast<std::uint64_t>(d.result.rounds))
+        << s.name;
+    EXPECT_EQ(d.result.timing.replays, d.result.rounds) << s.name;
+    EXPECT_GT(d.job_replay_us, 0) << s.name;
+  }
 }
 
 TEST(MrScenarios, ReplayProviderAppliesDeltaToConfig) {

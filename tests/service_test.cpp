@@ -7,6 +7,7 @@
 // answer while exactly one underlying run happens per distinct query.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -17,10 +18,13 @@
 #include <thread>
 #include <vector>
 
+#include "diffprov/reference.h"
 #include "obs/json_check.h"
 #include "obs/metrics.h"
 #include "service/bounded_queue.h"
 #include "service/cache.h"
+#include "service/diagnose.h"
+#include "service/problem.h"
 #include "service/service.h"
 #include "tools/cli.h"
 
@@ -405,6 +409,124 @@ TEST(Service, WarmSessionSkipsTheReplayOnLaterQueries) {
   EXPECT_EQ(session.warm_hits, 1u);
   EXPECT_EQ(registry.counter("dp.service.session.cold_replays").value(), 1u);
   EXPECT_EQ(registry.counter("dp.service.session.warm_hits").value(), 1u);
+}
+
+// --------------------------------------------------------- replay counts --
+
+/// Replays of a recorded log made so far in this process.
+std::uint64_t replays_so_far() {
+  return obs::default_registry().counter("dp.replay.replays").value();
+}
+
+Problem builtin(const std::string& name) {
+  std::ostringstream err;
+  std::optional<Problem> problem = builtin_scenario(name, err);
+  EXPECT_TRUE(problem.has_value()) << err.str();
+  return std::move(problem).value();
+}
+
+/// The scenario's own events; the MR built-ins carry no reference, so they
+/// diagnose with auto-reference.
+DiagnoseSpec default_spec(const Problem& problem) {
+  DiagnoseSpec spec;
+  spec.good_event = problem.good_event;
+  spec.bad_event = *problem.bad_event;
+  return spec;
+}
+
+/// Replays the problem's log and remembers the size of every Δ asked for.
+class RecordingProvider final : public ReplayProvider {
+ public:
+  explicit RecordingProvider(const Problem& problem)
+      : inner_(problem.program, problem.topology, problem.log) {}
+
+  BadRun replay_bad(const Delta& delta) override {
+    delta_sizes.push_back(delta.size());
+    return inner_.replay_bad(delta);
+  }
+
+  std::vector<std::size_t> delta_sizes;
+
+ private:
+  LogReplayProvider inner_;
+};
+
+TEST(ReplayCount, ColdDiagnosisReplaysOncePlusOncePerRound) {
+  const std::pair<std::string, std::uint64_t> cases[] = {{"sdn1", 2},
+                                                         {"sdn4", 3}};
+  for (const auto& [name, expected] : cases) {
+    const Problem problem = builtin(name);
+    const std::uint64_t before = replays_so_far();
+    const DiagnoseOutcome outcome =
+        diagnose_problem(problem, default_spec(problem), {});
+    const std::uint64_t replays = replays_so_far() - before;
+    ASSERT_TRUE(outcome.ok()) << name << ": " << outcome.out << outcome.err;
+    EXPECT_EQ(replays, 1u + static_cast<std::uint64_t>(outcome.profile.rounds))
+        << name;
+    EXPECT_EQ(replays, expected) << name;
+  }
+}
+
+TEST(ReplayCount, AutoReferenceReplaysTheBadRunOnceForAllCandidates) {
+  // sdn2 succeeds on its second candidate; mr1-d fails every candidate
+  // before any UpdateTree. Either way the log replays once with an empty Δ,
+  // and every other replay is a candidate's UpdateTree.
+  for (const std::string name : {"sdn2", "mr1-d"}) {
+    const Problem problem = builtin(name);
+    RecordingProvider provider(problem);
+    const std::uint64_t before = replays_so_far();
+    const BadRun run = provider.replay_bad({});
+    DiffProv diffprov(problem.program, provider);
+    const AutoDiagnosis result =
+        diagnose_with_auto_reference(diffprov, run, *problem.bad_event);
+    const std::uint64_t replays = replays_so_far() - before;
+
+    EXPECT_GE(result.candidates_tried, 2u) << name;
+    ASSERT_FALSE(provider.delta_sizes.empty()) << name;
+    EXPECT_EQ(std::count(provider.delta_sizes.begin(),
+                         provider.delta_sizes.end(), 0u),
+              1)
+        << name << ": only the initial replay has an empty delta";
+    EXPECT_EQ(replays, provider.delta_sizes.size()) << name;
+
+    // The CLI path makes the same replays.
+    const std::uint64_t cli_before = replays_so_far();
+    (void)diagnose_problem(problem, default_spec(problem), {});
+    EXPECT_EQ(replays_so_far() - cli_before, replays) << name;
+  }
+}
+
+TEST(ReplayCount, ColdAnswersAreByteIdenticalToWarmOnes) {
+  // The cold path reuses its own initial replay exactly the way a warm
+  // session hands over its resident run, so the two must render alike.
+  std::ostringstream listing;
+  list_scenarios(listing);
+  const std::string catalogue = listing.str();
+  std::size_t scenarios = 0;
+  for (const std::string name :
+       {"sdn1", "sdn2", "sdn3", "sdn4", "DNS-stale-record",
+        "DNS-stale-replica", "mr1-d", "mr2-d"}) {
+    ASSERT_NE(catalogue.find("  " + name + "  --"), std::string::npos)
+        << name;
+    ++scenarios;
+    const Problem problem = builtin(name);
+    const DiagnoseSpec spec = default_spec(problem);
+    const DiagnoseOutcome cold = diagnose_problem(problem, spec, {});
+    LogReplayProvider provider(problem.program, problem.topology,
+                               problem.log);
+    const auto warm_run =
+        std::make_shared<const BadRun>(provider.replay_bad({}));
+    const DiagnoseOutcome warm = diagnose_problem(problem, spec, {}, warm_run);
+    EXPECT_FALSE(cold.profile.warm_reuse) << name;
+    EXPECT_TRUE(warm.profile.warm_reuse) << name;
+    EXPECT_EQ(cold.exit_code, warm.exit_code) << name;
+    EXPECT_EQ(cold.out, warm.out) << name;
+    EXPECT_EQ(cold.err, warm.err) << name;
+  }
+  // Every built-in scenario is covered (one header line, one per scenario).
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(catalogue.begin(), catalogue.end(), '\n')),
+            scenarios + 1);
 }
 
 TEST(SessionManager, ByteBudgetCoolsLruSessionsByMeasuredFootprint) {
