@@ -12,9 +12,8 @@
 // (store/store.h). The wire format matches: a *ref table* of the distinct
 // tuples (serialized once each, in first-appearance order) followed by the
 // record stream as 4-byte table indexes, so a config tuple toggled 1k times
-// costs its payload once plus 1k fixed-size records. `deserialize` also
-// reads the legacy flat format (tuple payload repeated per record) that
-// pre-ref-table logs were written in.
+// costs its payload once plus 1k fixed-size records. That "DPL2" format is
+// the only binary form `deserialize` reads.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +76,8 @@ class EventLog {
   /// Binary round-trip. Format: magic "DPL2", u32 ref-table count, the
   /// distinct tuples once each (table-name len-prefixed, field-count(2),
   /// fields as tag + payload), then per record op(1) time(8) ref-index(4).
-  /// deserialize also accepts the legacy format (no magic; the full tuple
-  /// payload inlined in every record).
+  /// deserialize rejects input that does not start with the magic (a named
+  /// error at byte offset 0); empty input decodes as an empty log.
   void serialize(std::ostream& out) const;
   static EventLog deserialize(std::istream& in);
 
@@ -91,7 +90,7 @@ class EventLog {
   static EventLog from_text(std::string_view text);
 
   /// Standalone serialized size of a single record -- op + time + the full
-  /// tuple payload, i.e. the legacy per-record wire cost. This is the
+  /// tuple payload, i.e. its wire cost without ref-table sharing. This is the
   /// paper-accurate unit the logging-rate figures (5/6) bill per event,
   /// independent of ref-table sharing within a particular log.
   static std::uint64_t record_size(const LogRecord& record);

@@ -142,7 +142,7 @@ TEST(IngestStream, ByteIdenticalToBatchReplayAtEveryCut) {
 TEST(IngestStream, SameTimeAppendRunsStraddlingEpochSealsStayIdentical) {
   // Live-tap appends that share a timestamp are left queued (feed_live only
   // advances the engine when it is behind) and drain through the engine's
-  // batched execution path at the next snapshot. Make those runs straddle
+  // event loop at the next snapshot. Make those runs straddle
   // epoch seals -- and a mid-run checkpoint capture -- and check every cut
   // is still byte-identical to a cold batch replay of the same prefix.
   service::Problem problem;

@@ -22,7 +22,6 @@
 #include "mapred/scenario.h"
 #include "mapred/wordcount.h"
 #include "ndlog/parser.h"
-#include "obs/metrics.h"
 #include "provenance/recorder.h"
 #include "replay/event_log.h"
 #include "runtime/engine.h"
@@ -66,15 +65,13 @@ struct RunResult {
   std::size_t support_entries = 0;
 };
 
-/// The three execution variants under test. kFullScan is the reference
-/// evaluator; kRow adds compiled join plans; kBatch additionally drains
-/// same-time delta runs into batched plan firings.
-enum class Variant { kFullScan, kRow, kBatch };
+/// The two execution variants under test. kFullScan is the reference
+/// evaluator; kRow fires rules through compiled join plans.
+enum class Variant { kFullScan, kRow };
 
 RunResult run_scenario(const ScenarioRun& scenario, Variant variant) {
   EngineConfig config;
-  config.use_join_plans = variant != Variant::kFullScan;
-  config.use_batch_exec = variant == Variant::kBatch;
+  config.use_join_plans = variant == Variant::kRow;
   Engine engine(Program(scenario.program), config);
   for (const Topology::Link& link : scenario.topology.links) {
     engine.add_link(link.a, link.b, link.delay);
@@ -143,33 +140,6 @@ TEST_P(JoinPlanCrossVariant, IndexedPlansAreByteIdenticalToFullScans) {
   expect_identical_graphs(planned.graph, scanned.graph);
 }
 
-TEST_P(JoinPlanCrossVariant, BatchedExecutionIsByteIdenticalToRowAtATime) {
-  const ScenarioRun scenario =
-      std::move(all_scenario_runs()[GetParam()]);
-  const RunResult batch = run_scenario(scenario, Variant::kBatch);
-  const RunResult row = run_scenario(scenario, Variant::kRow);
-
-  // Batching is a pure scheduling change, so unlike the fullscan-vs-row
-  // comparison EVERY counter must match -- including the three join
-  // counters. One probe per frontier row, one scan per candidate, one match
-  // per survivor: the batch BFS visits exactly the pairs the row DFS does.
-  EXPECT_EQ(batch.stats.base_inserts, row.stats.base_inserts);
-  EXPECT_EQ(batch.stats.base_deletes, row.stats.base_deletes);
-  EXPECT_EQ(batch.stats.derivations, row.stats.derivations);
-  EXPECT_EQ(batch.stats.underivations, row.stats.underivations);
-  EXPECT_EQ(batch.stats.remote_messages, row.stats.remote_messages);
-  EXPECT_EQ(batch.stats.events_processed, row.stats.events_processed);
-  EXPECT_EQ(batch.stats.index_probes, row.stats.index_probes);
-  EXPECT_EQ(batch.stats.tuples_scanned, row.stats.tuples_scanned);
-  EXPECT_EQ(batch.stats.tuples_matched, row.stats.tuples_matched);
-  EXPECT_EQ(batch.support_entries, row.support_entries);
-
-  for (const auto& [table, tuples] : row.live) {
-    EXPECT_EQ(batch.live.at(table), tuples) << table;
-  }
-  expect_identical_graphs(batch.graph, row.graph);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, JoinPlanCrossVariant,
     ::testing::Range<std::size_t>(0, 8),
@@ -189,11 +159,10 @@ TEST(JoinPlanCrossVariant, ScenarioCountMatchesInstantiation) {
 }
 
 TEST(JoinPlanCrossVariant, RunsAroundTheBulkDrainThresholdUnderADeepHeap) {
-  // The batch engine counts a same-time run by walking the heap's time-t
-  // subtree from the root and stops at 64. Scheduling 10k later-time events
-  // first leaves each run scattered deep in a large heap; runs of 63, 64 and
-  // 65 inserts straddle the bulk-drain threshold, and every insert derives a
-  // same-time tuple that joins the run while it drains.
+  // Scheduling 10k later-time events first leaves each same-time run
+  // scattered deep in a large heap. Runs of 63, 64 and 65 inserts, each
+  // insert deriving a same-time tuple that joins the run while it drains,
+  // must still be processed in (time, seq) order.
   ScenarioRun scenario{"bulk_drain_threshold", parse_program(R"(
     table bg(2) base immutable event.
     table a(2) base immutable event.
@@ -221,17 +190,12 @@ TEST(JoinPlanCrossVariant, RunsAroundTheBulkDrainThresholdUnderADeepHeap) {
 
   const RunResult scanned = run_scenario(scenario, Variant::kFullScan);
   const RunResult row = run_scenario(scenario, Variant::kRow);
-  const RunResult batch = run_scenario(scenario, Variant::kBatch);
-  for (const RunResult* variant : {&row, &batch}) {
-    EXPECT_EQ(variant->stats.events_processed, scanned.stats.events_processed);
-    EXPECT_EQ(variant->stats.derivations, scanned.stats.derivations);
-    EXPECT_EQ(variant->stats.tuples_matched, scanned.stats.tuples_matched);
-    EXPECT_EQ(variant->support_entries, scanned.support_entries);
-    EXPECT_EQ(variant->live, scanned.live);
-    expect_identical_graphs(variant->graph, scanned.graph);
-  }
-  EXPECT_EQ(batch.stats.index_probes, row.stats.index_probes);
-  EXPECT_EQ(batch.stats.tuples_scanned, row.stats.tuples_scanned);
+  EXPECT_EQ(row.stats.events_processed, scanned.stats.events_processed);
+  EXPECT_EQ(row.stats.derivations, scanned.stats.derivations);
+  EXPECT_EQ(row.stats.tuples_matched, scanned.stats.tuples_matched);
+  EXPECT_EQ(row.support_entries, scanned.support_entries);
+  EXPECT_EQ(row.live, scanned.live);
+  expect_identical_graphs(row.graph, scanned.graph);
   EXPECT_EQ(scanned.live.at("b").size(), 65u);
 }
 
@@ -440,135 +404,6 @@ TEST(SlotExprs, CompiledEvaluationMatchesTheBindingsPath) {
     EXPECT_EQ(eval_expr(compiled, regs), eval_expr(*expr, bindings))
         << source;
   }
-}
-
-// ------------------------------------------------- batch-boundary cases --
-
-/// Runs `program_text` over `records` under `variant` with a private metrics
-/// registry, returning stats, live state, and the batch counters.
-struct BatchProbeResult {
-  Engine::Stats stats;
-  std::map<std::string, std::vector<Tuple>> live;
-  std::uint64_t batches = 0;
-  std::uint64_t batch_events = 0;
-};
-
-BatchProbeResult run_batch_probe(const std::string& program_text,
-                                 const std::vector<LogRecord>& records,
-                                 Variant variant) {
-  obs::MetricsRegistry registry;
-  EngineConfig config;
-  config.use_join_plans = variant != Variant::kFullScan;
-  config.use_batch_exec = variant == Variant::kBatch;
-  config.metrics = &registry;
-  Engine engine(parse_program(program_text), config);
-  for (const LogRecord& r : records) {
-    if (r.op == LogRecord::Op::kInsert) {
-      engine.schedule_insert(r.tuple(), r.time);
-    } else {
-      engine.schedule_delete(r.tuple(), r.time);
-    }
-  }
-  engine.run();
-  BatchProbeResult result;
-  result.stats = engine.stats();
-  for (const auto& [table, decl] : engine.program().tables()) {
-    result.live[table] = engine.live_tuples(table);
-  }
-  result.batches = registry.counter("dp.engine.batch.batches").value();
-  result.batch_events = registry.counter("dp.engine.batch.events").value();
-  return result;
-}
-
-LogRecord insert_at(const Tuple& tuple, LogicalTime t) {
-  return LogRecord(LogRecord::Op::kInsert, t, tuple);
-}
-
-TEST(BatchExec, SelfJoinDeltasDegradeToSizeOneBatches) {
-  // p's own plan probes p, so the forbidden-table rule must cut the batch
-  // after every delta: each insert has to see the previous one's derivations
-  // settled before it fires.
-  const std::string program = R"(
-    table p(2) keys(0, 1) base mutable.
-    table out(3) derived event.
-    rule r out(@N, X, Y) :- p(@N, X), p(@N, Y).
-  )";
-  std::vector<LogRecord> records;
-  for (int k = 0; k < 6; ++k) {
-    records.push_back(insert_at(Tuple("p", {Value("n1"), Value(k)}), 1));
-  }
-  const BatchProbeResult batch =
-      run_batch_probe(program, records, Variant::kBatch);
-  const BatchProbeResult row = run_batch_probe(program, records, Variant::kRow);
-
-  // Six size-1 batches: insert k must see inserts 1..k-1's derivations
-  // before it fires. The 42 derived `out` events (2i per insert i, counting
-  // the doubled self-pair) then drain as one batch -- out has no plans, so
-  // nothing forbids coalescing them.
-  EXPECT_EQ(batch.batches, 7u);
-  EXPECT_EQ(batch.batch_events, row.stats.events_processed);
-  EXPECT_EQ(batch.stats.derivations, row.stats.derivations);
-  EXPECT_EQ(batch.stats.index_probes, row.stats.index_probes);
-  EXPECT_EQ(batch.stats.tuples_scanned, row.stats.tuples_scanned);
-  EXPECT_EQ(batch.stats.tuples_matched, row.stats.tuples_matched);
-  EXPECT_EQ(batch.live, row.live);
-}
-
-TEST(BatchExec, IndependentSameTimeDeltasShareOneBatch) {
-  // Probe events only read b, never their own table, so a same-time run of
-  // probes coalesces into a single batch firing.
-  const std::string program = R"(
-    table a(2) base immutable event.
-    table b(3) keys(0, 1) base mutable.
-    table out(3) derived event.
-    rule r out(@N, K, V) :- a(@N, K), b(@N, K, V).
-  )";
-  std::vector<LogRecord> records;
-  for (int k = 0; k < 8; ++k) {
-    records.push_back(
-        insert_at(Tuple("b", {Value("n1"), Value(k), Value(k * 10)}), 0));
-  }
-  for (int k = 0; k < 8; ++k) {
-    // Half the probes hit, half miss (keys past the populated range).
-    records.push_back(insert_at(Tuple("a", {Value("n1"), Value(k * 2)}), 1));
-  }
-  const BatchProbeResult batch =
-      run_batch_probe(program, records, Variant::kBatch);
-  const BatchProbeResult row = run_batch_probe(program, records, Variant::kRow);
-
-  EXPECT_LT(batch.batches, batch.batch_events);  // at least one real batch
-  EXPECT_EQ(batch.stats.derivations, row.stats.derivations);
-  EXPECT_EQ(batch.stats.index_probes, row.stats.index_probes);
-  EXPECT_EQ(batch.stats.tuples_scanned, row.stats.tuples_scanned);
-  EXPECT_EQ(batch.stats.tuples_matched, row.stats.tuples_matched);
-  EXPECT_EQ(batch.live, row.live);
-}
-
-TEST(BatchExec, DisplacingInsertFlushesTheBatch) {
-  // Two same-time inserts with the same key: the second displaces the first,
-  // which batch formation must refuse to admit (the displaced row's
-  // retraction has to run between them). Live state and stats still match
-  // the row path exactly.
-  const std::string program = R"(
-    table kv(3) keys(0, 1) base mutable.
-    table echo(3) derived event.
-    rule r echo(@N, K, V) :- kv(@N, K, V).
-  )";
-  const std::vector<LogRecord> records = {
-      insert_at(Tuple("kv", {Value("n1"), Value(1), Value(10)}), 1),
-      insert_at(Tuple("kv", {Value("n1"), Value(2), Value(20)}), 1),
-      insert_at(Tuple("kv", {Value("n1"), Value(1), Value(11)}), 1),
-  };
-  const BatchProbeResult batch =
-      run_batch_probe(program, records, Variant::kBatch);
-  const BatchProbeResult row = run_batch_probe(program, records, Variant::kRow);
-
-  EXPECT_EQ(batch.stats.base_inserts, row.stats.base_inserts);
-  EXPECT_EQ(batch.stats.base_deletes, row.stats.base_deletes);
-  EXPECT_EQ(batch.stats.derivations, row.stats.derivations);
-  EXPECT_EQ(batch.stats.underivations, row.stats.underivations);
-  EXPECT_EQ(batch.live, row.live);
-  ASSERT_EQ(batch.live.at("kv").size(), 2u);
 }
 
 // ------------------------------------------- support-map retraction fix --

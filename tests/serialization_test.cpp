@@ -200,7 +200,9 @@ TEST(SerializationHardening, EveryTruncationPointIsRejectedWithAnOffset) {
 
 TEST(SerializationHardening, CorruptOpByteNamesItsOffset) {
   std::string bytes = serialized(small_log());
-  bytes[0] = 7;  // ops are 0 (insert) / 1 (delete)
+  // small_log() ends in two 13-byte records; corrupt the first one's op.
+  const std::size_t op_offset = bytes.size() - 2 * 13;
+  bytes[op_offset] = 7;  // ops are 0 (insert) / 1 (delete)
   std::istringstream in(bytes);
   try {
     EventLog::deserialize(in);
@@ -209,7 +211,9 @@ TEST(SerializationHardening, CorruptOpByteNamesItsOffset) {
     EXPECT_NE(std::string(e.what()).find("corrupt op byte 7"),
               std::string::npos)
         << e.what();
-    EXPECT_NE(std::string(e.what()).find("byte offset 0"), std::string::npos)
+    EXPECT_NE(std::string(e.what())
+                  .find("byte offset " + std::to_string(op_offset)),
+              std::string::npos)
         << e.what();
   }
 }
@@ -292,37 +296,26 @@ TEST(SerializationFormat, RefTableSerializesEachDistinctTupleOnce) {
   EXPECT_EQ(EventLog::deserialize(in).records(), log.records());
 }
 
-TEST(SerializationFormat, LegacyFlatFormatStillDecodes) {
-  // Pre-ref-table logs inlined the tuple payload in every record; the
-  // decoder must keep reading them (no magic, records start with an op
-  // byte). Hand-encode one: op(1) time(8) name-len(4) name arity(2) fields.
-  std::string bytes;
-  auto put32 = [&bytes](std::uint32_t v) {
-    for (int shift = 24; shift >= 0; shift -= 8) {
-      bytes += static_cast<char>((v >> shift) & 0xff);
+TEST(SerializationFormat, InputWithoutTheMagicIsRejectedAtOffsetZero) {
+  // Only the DPL2 ref-table format decodes. A stream in the old flat layout
+  // (records start with an op byte, tuple payload inlined) or any other
+  // bytes without the magic get a named error at the first byte.
+  for (const std::string& bytes :
+       {std::string("\0\0\0\0\0\0\0\0\x07", 9), std::string("DPL1xxxx"),
+        std::string("garbage")}) {
+    std::istringstream in(bytes);
+    try {
+      EventLog::deserialize(in);
+      FAIL() << "input without the DPL2 magic accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("not a DPL2 event log"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("at byte offset 0"),
+                std::string::npos)
+          << e.what();
     }
-  };
-  auto put64 = [&bytes, &put32](std::uint64_t v) {
-    put32(static_cast<std::uint32_t>(v >> 32));
-    put32(static_cast<std::uint32_t>(v));
-  };
-  for (int i = 0; i < 2; ++i) {
-    bytes += '\0';  // op: insert
-    put64(static_cast<std::uint64_t>(7 + i));
-    put32(1);  // table-name length
-    bytes += 't';
-    bytes += '\0';
-    bytes += '\x01';  // arity 1
-    bytes += '\0';    // tag: int
-    put64(static_cast<std::uint64_t>(100 + i));
   }
-  std::istringstream in(bytes);
-  const EventLog log = EventLog::deserialize(in);
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log.records()[0].tuple(), Tuple("t", {Value(100)}));
-  EXPECT_EQ(log.records()[1].tuple(), Tuple("t", {Value(101)}));
-  EXPECT_EQ(log.records()[0].time, 7);
-  EXPECT_EQ(log.records()[1].time, 8);
 }
 
 TEST(SerializationHardening, TextErrorsNameTheLine) {
