@@ -1,4 +1,5 @@
-// Sealed log segments: the storage tier of a live ingest stream.
+// Sealed log segments: the storage tier of a live ingest stream (a resident
+// run fed by append, service/resident_run.h).
 //
 // An ingest stream groups arriving base events into *epochs*; when an epoch
 // seals, its records freeze into an immutable LogSegment. Segments are what
@@ -28,6 +29,22 @@
 #include "replay/event_log.h"
 
 namespace dp::ingest {
+
+/// Tiering knobs of a live ingest stream.
+struct IngestOptions {
+  /// Records per epoch; the open epoch seals when it reaches this many
+  /// (clamped to at least 1). seal() forces an early boundary.
+  std::size_t epoch_events = 256;
+  /// Capture a Checkpoint of the live engine every this many sealed epochs
+  /// (0 = never checkpoint, which also disables truncation).
+  std::size_t checkpoint_every_epochs = 4;
+  /// Resident segments allowed before a maintenance pass merges the oldest
+  /// adjacent pair, repeatedly (0 = no compaction).
+  std::size_t compact_watermark = 8;
+  /// Checkpoint-covered epochs kept resident for bootstrap consumers before
+  /// truncation drops them; memory pressure truncates every covered epoch.
+  std::size_t retain_epochs = 8;
+};
 
 /// One sealed epoch of an ingest stream -- or, after compaction, a
 /// contiguous run of sealed epochs merged into one. Immutable once built.

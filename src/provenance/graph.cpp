@@ -297,6 +297,10 @@ std::vector<VertexId> ProvenanceGraph::derivations_triggered_by(
 }
 
 std::size_t ProvenanceGraph::resident_bytes() const {
+  if (measured_vertices_ == kind_.size() &&
+      measured_sorted_capacity_ == sorted_tuples_.capacity()) {
+    return measured_bytes_;
+  }
   const std::size_t per_vertex =
       sizeof(VertexKind) + sizeof(TupleRef) + sizeof(NameRef) +
       2 * sizeof(LogicalTime) + sizeof(std::int32_t) +
@@ -316,6 +320,9 @@ std::size_t ProvenanceGraph::resident_bytes() const {
              2 * sizeof(void*);
   }
   bytes += sorted_tuples_.capacity() * sizeof(TupleRef);
+  measured_vertices_ = kind_.size();
+  measured_sorted_capacity_ = sorted_tuples_.capacity();
+  measured_bytes_ = bytes;
   return bytes;
 }
 

@@ -162,7 +162,10 @@ class ProvenanceGraph {
 
   /// Resident bytes of this graph's own storage (columns, edge array,
   /// indexes). The interned tuples are shared process-wide and accounted in
-  /// dp.store.bytes, not here.
+  /// dp.store.bytes, not here. O(1) on a graph unchanged since the last
+  /// call: every index grows only together with a new vertex, so the walk
+  /// over the node-based indexes reruns only when the vertex count or the
+  /// lazily built sorted-key cache changed.
   [[nodiscard]] std::size_t resident_bytes() const;
 
   /// Growth and query counters, maintained as plain fields on the hot path.
@@ -213,6 +216,10 @@ class ProvenanceGraph {
   mutable std::vector<TupleRef> sorted_tuples_;
   // trigger EXIST -> DERIVE vertices it triggered.
   std::unordered_map<VertexId, std::vector<VertexId>> trigger_index_;
+  // resident_bytes() memo, keyed by (vertex count, sorted-key capacity).
+  mutable std::size_t measured_vertices_ = SIZE_MAX;
+  mutable std::size_t measured_sorted_capacity_ = 0;
+  mutable std::size_t measured_bytes_ = 0;
   // mutable: the const lookups count themselves.
   mutable Counters counters_;
   Counters published_;

@@ -17,31 +17,47 @@ std::string delta_to_string(const Delta& delta) {
   return out;
 }
 
-ReplayResult replay(const Program& program, const Topology& topology,
-                    const EventLog& log, const Delta& delta,
-                    const ReplayOptions& options) {
-  DP_SPAN_CAT("dp.replay.replay", "replay");
-  obs::default_registry().counter("dp.replay.replays").inc();
+std::unique_ptr<Engine> make_engine(const Program& program,
+                                    const Topology& topology,
+                                    const EngineConfig& config) {
+  auto engine = std::make_unique<Engine>(program, config);
+  for (const Topology::Link& link : topology.links) {
+    engine->add_link(link.a, link.b, link.delay);
+  }
+  return engine;
+}
+
+ReplayResult begin_replay(const Program& program, const Topology& topology,
+                          const ReplayOptions& options) {
   ReplayResult result;
-  result.engine = std::make_unique<Engine>(program, options.engine_config);
+  result.engine = make_engine(program, topology, options.engine_config);
   result.recorder = std::make_unique<ProvenanceRecorder>();
   if (options.provenance_filter) {
     result.recorder->set_filter(options.provenance_filter);
-  }
-  for (const Topology::Link& link : topology.links) {
-    result.engine->add_link(link.a, link.b, link.delay);
   }
   result.engine->add_observer(result.recorder.get());
   result.metrics_observer =
       std::make_unique<MetricsObserver>(result.engine->metrics());
   result.engine->add_observer(result.metrics_observer.get());
+  return result;
+}
 
+void schedule_record(Engine& engine, const LogRecord& record) {
+  if (record.op == LogRecord::Op::kInsert) {
+    engine.schedule_insert(record.tuple(), record.time);
+  } else {
+    engine.schedule_delete(record.tuple(), record.time);
+  }
+}
+
+ReplayResult replay(const Program& program, const Topology& topology,
+                    const EventLog& log, const Delta& delta,
+                    const ReplayOptions& options) {
+  DP_SPAN_CAT("dp.replay.replay", "replay");
+  obs::default_registry().counter("dp.replay.replays").inc();
+  ReplayResult result = begin_replay(program, topology, options);
   for (const LogRecord& record : log.records()) {
-    if (record.op == LogRecord::Op::kInsert) {
-      result.engine->schedule_insert(record.tuple(), record.time);
-    } else {
-      result.engine->schedule_delete(record.tuple(), record.time);
-    }
+    schedule_record(*result.engine, record);
   }
   for (const DeltaOp& op : delta) {
     if (op.kind == DeltaOp::Kind::kInsert) {
@@ -50,12 +66,7 @@ ReplayResult replay(const Program& program, const Topology& topology,
       result.engine->schedule_delete(op.tuple, op.at);
     }
   }
-
-  if (options.until == kTimeInfinity) {
-    result.engine->run();
-  } else {
-    result.engine->run_until(options.until);
-  }
+  result.engine->run();
   // The recorder's graph publishes alongside the engine: into the shared
   // registry when the caller wired one up, else the process-wide one.
   obs::MetricsRegistry& registry = options.engine_config.metrics != nullptr

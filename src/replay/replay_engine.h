@@ -65,13 +65,25 @@ struct ReplayOptions {
   /// Selective reconstruction: record provenance only for tuples passing
   /// this filter (see ProvenanceRecorder::set_filter).
   std::function<bool(const Tuple&)> provenance_filter;
-  /// Stop the replay at this logical time (default: run to quiescence).
-  LogicalTime until = kTimeInfinity;
   EngineConfig engine_config;
 };
 
-/// Replays `log` (merged with `delta`) over a fresh engine and returns the
-/// engine plus the reconstructed provenance.
+/// A fresh engine with `topology`'s links added and nothing scheduled.
+std::unique_ptr<Engine> make_engine(const Program& program,
+                                    const Topology& topology,
+                                    const EngineConfig& config);
+
+/// A fresh engine (make_engine) with a provenance recorder and the per-table
+/// metrics observer attached, nothing scheduled: where every replay starts,
+/// and where a resident run fed event by event starts too.
+ReplayResult begin_replay(const Program& program, const Topology& topology,
+                          const ReplayOptions& options = {});
+
+/// Schedules one logged base-event change into `engine`.
+void schedule_record(Engine& engine, const LogRecord& record);
+
+/// Replays `log` (merged with `delta`) over a fresh engine to quiescence and
+/// returns the engine plus the reconstructed provenance.
 ReplayResult replay(const Program& program, const Topology& topology,
                     const EventLog& log, const Delta& delta = {},
                     const ReplayOptions& options = {});

@@ -1,10 +1,9 @@
 // LRU result cache for diagnosis queries.
 //
-// Keys follow the issue's contract: (log content hash, bad-event tuple,
-// reference choice, config epoch) -- plus the minimize flag, which changes
-// the answer. The key is rendered as one canonical string so equal queries
-// collide however they were phrased (scenario name vs. inline log with the
-// same bytes).
+// Keys are (problem content hash -- log, program and links -- bad-event
+// tuple, reference choice, config epoch) plus the minimize flag, which
+// changes the answer. The key is rendered as one canonical string so equal
+// queries over equal problems collide whatever name they arrived under.
 //
 // Two layers live here:
 //

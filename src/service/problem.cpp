@@ -68,9 +68,13 @@ Problem parse_problem(const std::string& program_text,
   return problem;
 }
 
-std::uint64_t log_content_hash(const EventLog& log) {
+std::uint64_t problem_content_hash(const Problem& problem) {
   std::ostringstream bytes;
-  log.serialize(bytes);
+  problem.log.serialize(bytes);
+  bytes << problem.program.to_string();
+  for (const Topology::Link& link : problem.topology.links) {
+    bytes << '\n' << link.a << ' ' << link.b << ' ' << link.delay;
+  }
   return fnv1a(bytes.str());
 }
 

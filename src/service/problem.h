@@ -39,9 +39,10 @@ void list_scenarios(std::ostream& out);
 Problem parse_problem(const std::string& program_text,
                       const std::string& log_text, Topology topology = {});
 
-/// Content hash of a problem's recorded log (FNV-1a over the binary
-/// serialization). Cache keys use this so two sessions over byte-identical
-/// logs share results, whatever name they arrived under.
-std::uint64_t log_content_hash(const EventLog& log);
+/// Content hash of a problem: FNV-1a over its log's binary serialization,
+/// its program text and its links. Cache keys use this so two runs over
+/// byte-identical problems share results, whatever name they arrived under,
+/// while problems that share a log but not a program never do.
+std::uint64_t problem_content_hash(const Problem& problem);
 
 }  // namespace dp::service

@@ -144,7 +144,7 @@ std::string handle_probe(DiagnosisService& service, const Json& request) {
          "}";
 }
 
-std::string render_stream_stats(const ingest::IngestStreamStats& s) {
+std::string render_stream_stats(const RunStats& s) {
   std::ostringstream out;
   out << "{\"events\":" << s.events << ",\"sealed_epochs\":" << s.sealed_epochs
       << ",\"open_records\":" << s.open_records
@@ -153,7 +153,7 @@ std::string render_stream_stats(const ingest::IngestStreamStats& s) {
       << ",\"truncated_segments\":" << s.truncated_segments
       << ",\"truncated_bytes\":" << s.truncated_bytes
       << ",\"live_rebuilds\":" << s.live_rebuilds
-      << ",\"snapshots\":" << s.snapshots
+      << ",\"snapshots\":" << s.queries
       << ",\"resident_bytes\":" << s.resident_bytes
       << ",\"watermark\":" << s.watermark << "}";
   return out.str();

@@ -137,7 +137,7 @@ std::string ServiceStats::to_text() const {
     out << "  stream " << name << ": events " << s.events << " epochs "
         << s.sealed_epochs << " (+" << s.open_records << " open) segments "
         << s.segments << " checkpoints " << s.checkpoints << " snapshots "
-        << s.snapshots << " rebuilds " << s.live_rebuilds << "\n";
+        << s.queries << " rebuilds " << s.live_rebuilds << "\n";
   }
   return out.str();
 }
@@ -145,12 +145,13 @@ std::string ServiceStats::to_text() const {
 DiagnosisService::Shard::Shard(std::size_t shard_index, std::size_t max_warm,
                                std::shared_ptr<WarmBudgetLedger> ledger,
                                ReplayOptions options,
+                               ingest::IngestOptions ingest,
                                obs::MetricsRegistry& registry,
                                std::size_t queue_capacity,
                                std::size_t slow_journal_capacity)
     : index(shard_index),
-      sessions(max_warm, std::move(ledger), shard_index, std::move(options),
-               registry),
+      runs(max_warm, std::move(ledger), shard_index, std::move(options),
+           ingest, registry),
       queue(queue_capacity),
       queue_depth(registry.gauge("dp.service.shard." +
                                  std::to_string(shard_index) +
@@ -193,8 +194,8 @@ DiagnosisService::DiagnosisService(ServiceConfig config)
   shards_.reserve(nshards);
   for (std::size_t s = 0; s < nshards; ++s) {
     shards_.push_back(std::make_unique<Shard>(
-        s, max_warm_per_shard, ledger_, replay_options_, *registry_,
-        config_.queue_capacity, config_.slow_journal_capacity));
+        s, max_warm_per_shard, ledger_, replay_options_, config_.ingest,
+        *registry_, config_.queue_capacity, config_.slow_journal_capacity));
   }
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
@@ -208,13 +209,12 @@ DiagnosisService::DiagnosisService(ServiceConfig config)
     }
   }
   // Ingest streams bill their resident bytes into the ledger's extra slot,
-  // so warm sessions and live graphs spend one shared budget. Created before
-  // the watchdog, whose tick drives stream maintenance.
-  ingest_ = std::make_unique<ingest::IngestManager>(
-      replay_options_, config_.ingest, *registry_,
-      [ledger = ledger_, slot = nshards](std::uint64_t bytes) {
-        ledger->publish(slot, bytes);
-      });
+  // so warm runs and live graphs spend one shared budget. The stream registry
+  // cools nothing (its runs are all fed by append), so max_warm is moot.
+  // Created before the watchdog, whose tick drives stream maintenance.
+  streams_ = std::make_unique<RunRegistry>(
+      max_warm_per_shard, ledger_, /*slot=*/nshards, replay_options_,
+      config_.ingest, *registry_);
   watchdog_ = std::thread([this] { watchdog_loop(); });
 }
 
@@ -251,15 +251,15 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
   // Route before resolving: the session key alone picks the shard, so every
   // structure touched from here on is shard-local (or a cache stripe).
   std::string session_key;
-  std::shared_ptr<ingest::IngestStream> stream;
+  std::shared_ptr<ResidentRun> run;
   if (!query.stream.empty()) {
     if (!query.scenario.empty() || !query.program_text.empty()) {
       outcome.error =
           "query names both a live stream and a scenario/inline problem";
       return outcome;
     }
-    stream = ingest_->find(query.stream);
-    if (stream == nullptr) {
+    run = streams_->find(query.stream);
+    if (run == nullptr) {
       outcome.error = "unknown ingest stream \"" + query.stream +
                       "\" (ingest_open first)";
       return outcome;
@@ -274,30 +274,23 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
     return outcome;
   }
   Shard& shard = *shards_[shard_of_key(session_key)];
-
-  std::shared_ptr<WarmSession> session;
-  const std::optional<Tuple>* default_good = nullptr;
-  const std::optional<Tuple>* default_bad = nullptr;
-  if (stream != nullptr) {
-    default_good = &stream->good_event();
-    default_bad = &stream->bad_event();
-  } else {
-    session = query.scenario.empty()
-                  ? shard.sessions.get_inline(query.program_text,
-                                              query.log_text, outcome.error)
-                  : shard.sessions.get_scenario(query.scenario, outcome.error);
-    if (session == nullptr) return outcome;
-    default_good = &session->problem().good_event;
-    default_bad = &session->problem().bad_event;
+  RunRegistry& registry = run != nullptr ? *streams_ : shard.runs;
+  if (run == nullptr) {
+    run = query.scenario.empty()
+              ? shard.runs.get_inline(query.program_text, query.log_text,
+                                      outcome.error)
+              : shard.runs.get_scenario(query.scenario, outcome.error);
+    if (run == nullptr) return outcome;
   }
+  const Problem& problem = run->problem();
 
   DiagnoseSpec spec;
   spec.minimize = query.minimize;
   try {
     if (!query.bad.empty()) {
       spec.bad_event = parse_tuple(query.bad);
-    } else if (*default_bad) {
-      spec.bad_event = **default_bad;
+    } else if (problem.bad_event) {
+      spec.bad_event = *problem.bad_event;
     } else {
       outcome.error = "no event of interest: pass bad=<tuple>";
       return outcome;
@@ -306,8 +299,8 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
       spec.good_event.reset();
     } else if (!query.good.empty()) {
       spec.good_event = parse_tuple(query.good);
-    } else if (*default_good) {
-      spec.good_event = **default_good;
+    } else if (problem.good_event) {
+      spec.good_event = *problem.good_event;
     } else {
       outcome.error =
           "no reference event: pass good=<tuple> or auto_reference";
@@ -323,11 +316,8 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
   // unreachable, never served stale. (A result may cover a slightly longer
   // prefix than the hash it was keyed under -- appends that landed between
   // submit and snapshot -- which is the freshest answer, not a stale one.)
-  const std::uint64_t content_hash =
-      stream != nullptr ? hash_mix(fnv1a(session_key), stream->content_hash())
-                        : session->log_hash();
   const std::string key = make_cache_key(
-      content_hash, spec.bad_event.to_string(),
+      run->content_hash(), spec.bad_event.to_string(),
       spec.good_event ? spec.good_event->to_string() : "<auto>",
       spec.minimize, config_.config_epoch);
   const bool cacheable = !query.bypass_cache;
@@ -361,8 +351,8 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
           auto job = std::make_shared<JobState>();
           job->key = key;
           job->shard = shard.index;
-          job->session = session;
-          job->stream = stream;
+          job->run = run;
+          job->registry = &registry;
           job->spec = spec;
           job->cacheable = true;
           job->trace_id = query.trace_id;
@@ -430,8 +420,8 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
   auto job = std::make_shared<JobState>();
   job->key = key;
   job->shard = shard.index;
-  job->session = std::move(session);
-  job->stream = std::move(stream);
+  job->run = std::move(run);
+  job->registry = &registry;
   job->spec = std::move(spec);
   job->cacheable = false;
   job->trace_id = query.trace_id;
@@ -485,7 +475,7 @@ void DiagnosisService::watchdog_loop() {
     // Ingest maintenance rides the tick: one compaction/truncation pass over
     // every idle stream (busy ones are try_lock-skipped), with pressure
     // truncation when the shared warm/ingest byte budget is exceeded.
-    ingest_->maintain(/*under_pressure=*/ledger_->over_budget());
+    streams_->maintain(/*under_pressure=*/ledger_->over_budget());
     if (deadline_us == 0) continue;
     const std::uint64_t now = obs::monotonic_micros();
     std::int64_t stuck = 0;
@@ -579,42 +569,23 @@ void DiagnosisService::run_job(Shard& shard,
   bool warm_hit = false;
   try {
     DP_SPAN_CAT("dp.service.run", "service");
-    // Per-session (or per-stream) serialization: one query at a time against
-    // a resident engine; jobs for other sessions/streams proceed on other
-    // workers in parallel.
+    // Per-run serialization: one query at a time against a resident engine;
+    // jobs for other runs proceed on other workers in parallel.
     const auto wait_start = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> session_lock(job->stream != nullptr
-                                                 ? job->stream->mutex()
-                                                 : job->session->mutex());
+    std::lock_guard<std::mutex> run_lock(job->run->mutex());
     session_wait_us = micros_between(wait_start, std::chrono::steady_clock::now());
-    DiagnoseOutcome outcome;
-    if (job->stream != nullptr) {
-      // Live path: snapshot the stream's always-current graph -- quiescing
-      // the in-flight tail of the resident engine, not replaying history.
-      // warm_hit reports whether the snapshot avoided a stale-live rebuild.
-      const auto snap_start = std::chrono::steady_clock::now();
-      bool rebuilt = false;
-      std::shared_ptr<const BadRun> run = job->stream->ensure_current(&rebuilt);
-      ingest_snapshot_us =
-          micros_between(snap_start, std::chrono::steady_clock::now());
-      warm_hit = !rebuilt;
-      Problem problem;
-      problem.program = job->stream->program();
-      problem.topology = job->stream->topology();
-      problem.log = job->stream->log();
-      problem.good_event = job->stream->good_event();
-      problem.bad_event = job->stream->bad_event();
-      outcome =
-          diagnose_problem(problem, job->spec, replay_options_, std::move(run));
-    } else {
-      warm_hit = job->session->is_warm();
-      const auto warm_start = std::chrono::steady_clock::now();
-      std::shared_ptr<const BadRun> warm = job->session->ensure_warm();
-      warm_replay_us =
-          micros_between(warm_start, std::chrono::steady_clock::now());
-      outcome = diagnose_problem(job->session->problem(), job->spec,
-                                 replay_options_, std::move(warm));
-    }
+    // The current run: drains a live stream's in-flight tail, or replays
+    // once when the engine is absent, cooled or stale. warm_hit reports
+    // whether it avoided that replay; the time lands in the stream's
+    // snapshot phase or the warm-up phase.
+    const auto current_start = std::chrono::steady_clock::now();
+    bool rebuilt = false;
+    std::shared_ptr<const BadRun> current = job->run->ensure_current(&rebuilt);
+    (job->run->fed() ? ingest_snapshot_us : warm_replay_us) =
+        micros_between(current_start, std::chrono::steady_clock::now());
+    warm_hit = !rebuilt;
+    const DiagnoseOutcome outcome = diagnose_problem(
+        job->run->problem(), job->spec, replay_options_, std::move(current));
     result.exit_code = outcome.exit_code;
     result.out = outcome.pre + outcome.out;
     result.err = outcome.err;
@@ -632,13 +603,10 @@ void DiagnosisService::run_job(Shard& shard,
     result.out.clear();
     result.err = std::string("internal error: ") + e.what() + "\n";
   }
-  // The warm-up (or snapshot) above may have changed the measured
-  // footprints; publish ingest bytes first so the session budget pass sees
-  // the shared ledger's true total, then re-apply the byte budget now that
-  // the session/stream lock is released (the budget pass try-locks sessions,
-  // so it must not run while we hold one).
-  if (job->stream != nullptr) ingest_->publish();
-  shard.sessions.enforce_budget();
+  // The warm-up (or snapshot) above may have changed the run's measured
+  // footprint; re-apply the byte budget now that the run lock is released
+  // (the budget pass try-locks runs, so it must not run while we hold one).
+  job->registry->enforce_budget();
   runs_.inc();
   const auto finished_at = std::chrono::steady_clock::now();
   const double exec_us = micros_between(started_at, finished_at);
@@ -814,9 +782,9 @@ SubmitOutcome DiagnosisService::probe(const std::string& scenario,
                                       bool& live, std::uint64_t trace_id) {
   SubmitOutcome outcome;
   Shard& shard = *shards_[shard_of_key(scenario)];
-  std::shared_ptr<WarmSession> session =
-      shard.sessions.get_scenario(scenario, outcome.error);
-  if (session == nullptr) return outcome;
+  std::shared_ptr<ResidentRun> run =
+      shard.runs.get_scenario(scenario, outcome.error);
+  if (run == nullptr) return outcome;
   Tuple tuple;
   try {
     tuple = parse_tuple(tuple_text);
@@ -827,8 +795,8 @@ SubmitOutcome DiagnosisService::probe(const std::string& scenario,
   // Probes run on the caller's (connection) thread; scope its spans to the
   // client's trace the same way run_job does for diagnoses.
   obs::ScopedTraceContext trace_scope({trace_id, 0});
-  std::lock_guard<std::mutex> session_lock(session->mutex());
-  live = session->probe_live(tuple);
+  std::lock_guard<std::mutex> run_lock(run->mutex());
+  live = run->probe_live(tuple);
   outcome.accepted = true;
   return outcome;
 }
@@ -845,7 +813,7 @@ IngestOutcome DiagnosisService::open_stream(const std::string& name,
     out.error = "service is shutting down";
     return out;
   }
-  if (std::shared_ptr<ingest::IngestStream> existing = ingest_->find(name)) {
+  if (std::shared_ptr<ResidentRun> existing = streams_->find(name)) {
     std::lock_guard<std::mutex> lock(existing->mutex());
     out.ok = true;
     out.stream = existing->stats();
@@ -873,9 +841,7 @@ IngestOutcome DiagnosisService::open_stream(const std::string& name,
   }
   // The scenario's recorded log is deliberately dropped: a live stream's
   // history arrives only through ingest(), event by event.
-  std::shared_ptr<ingest::IngestStream> stream = ingest_->open(
-      name, std::move(problem.program), std::move(problem.topology),
-      std::move(problem.good_event), std::move(problem.bad_event));
+  std::shared_ptr<ResidentRun> stream = streams_->open(name, std::move(problem));
   std::lock_guard<std::mutex> lock(stream->mutex());
   out.ok = true;
   out.stream = stream->stats();
@@ -886,7 +852,7 @@ IngestOutcome DiagnosisService::ingest(const std::string& name,
                                        const std::string& events_text,
                                        bool seal) {
   IngestOutcome out;
-  std::shared_ptr<ingest::IngestStream> stream = ingest_->find(name);
+  std::shared_ptr<ResidentRun> stream = streams_->find(name);
   if (stream == nullptr) {
     out.error =
         "unknown ingest stream \"" + name + "\" (ingest_open first)";
@@ -902,7 +868,7 @@ IngestOutcome DiagnosisService::ingest(const std::string& name,
     return out;
   }
   out.ok = true;
-  ingest_->publish();
+  streams_->enforce_budget();
   return out;
 }
 
@@ -925,15 +891,15 @@ ServiceStats DiagnosisService::stats() const {
     const std::size_t depth = shard->queue.size();
     stats.shard_queue_depths.push_back(depth);
     stats.queue_depth += depth;
-    stats.sessions += shard->sessions.size();
-    stats.warm_sessions += shard->sessions.warm_count();
-    stats.warm_resident_bytes += shard->sessions.warm_bytes();
-    auto per_session = shard->sessions.stats();
+    stats.sessions += shard->runs.size();
+    stats.warm_sessions += shard->runs.warm_count();
+    stats.warm_resident_bytes += shard->runs.warm_bytes();
+    auto per_session = shard->runs.stats();
     stats.per_session.insert(stats.per_session.end(),
                              std::make_move_iterator(per_session.begin()),
                              std::make_move_iterator(per_session.end()));
   }
-  stats.per_stream = ingest_->stats();
+  stats.per_stream = streams_->stats();
   stats.ingest_streams = stats.per_stream.size();
   for (const auto& [name, s] : stats.per_stream) {
     stats.ingest_events += s.events;

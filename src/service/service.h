@@ -2,9 +2,9 @@
 //
 // The service is *sharded*: queries route to one of N independent shards by
 // the hash of their session key (scenario name or inline-problem content
-// hash), and each shard owns a complete serving stack -- its own warm-
-// session set, its own bounded MPMC queue, its own worker pool, and its own
-// ticket table -- so unrelated diagnoses never contend on a shared lock.
+// hash), and each shard owns a complete serving stack -- its own registry
+// of resident runs, its own bounded MPMC queue, its own worker pool, and its
+// own ticket table -- so unrelated diagnoses never contend on a shared lock.
 // The PR 5 introspection stack located the scaling ceiling of the unsharded
 // design in exactly those shared structures: one service mutex on every
 // submit/complete, one session-manager mutex (with a full-session-walk
@@ -13,12 +13,14 @@
 //
 // The three serving-layer mechanisms compose per shard:
 //
-//   * Warm sessions (session.h): jobs against the same scenario/log reuse
-//     the resident replayed run; different scenarios diagnose in parallel,
-//     queries against one warm engine serialize on its session mutex. The
-//     warm-set byte budget is global but *rebalanced* across shards through
-//     a shared ledger: a hot shard borrows budget idle shards leave unused
-//     and cools only once the global total is exceeded (WarmBudgetLedger).
+//   * Resident runs (resident_run.h, run_registry.h): jobs against the same
+//     scenario/log reuse the resident replayed run, and live ingest streams
+//     are resident runs fed by append, held in one more registry beside the
+//     shards'; different runs diagnose in parallel, queries against one run
+//     serialize on its mutex. The warm-set byte budget is global but
+//     *rebalanced* across shards through a shared ledger: a hot shard
+//     borrows budget idle shards leave unused and cools only once the global
+//     total is exceeded (WarmBudgetLedger).
 //   * Result cache + single-flight (cache.h): striped -- per-stripe mutex,
 //     per-stripe LRU slice, per-stripe in-flight table. A repeat of a
 //     finished query is answered from the cache without touching a worker;
@@ -54,19 +56,18 @@
 #include <utility>
 #include <vector>
 
-#include "ingest/manager.h"
 #include "obs/metrics.h"
 #include "service/bounded_queue.h"
 #include "service/cache.h"
 #include "service/diagnose.h"
-#include "service/session.h"
+#include "service/run_registry.h"
 #include "service/slowlog.h"
 
 namespace dp::service {
 
 struct ServiceConfig {
-  /// Independent shards (clamped to [1, 32]): each gets its own session
-  /// set, queue, and worker pool, keyed by scenario/log hash. One shard
+  /// Independent shards (clamped to [1, 32]): each gets its own registry
+  /// of resident runs, queue, and worker pool, keyed by scenario/log hash. One shard
   /// reproduces the PR 3 single-lane behaviour exactly.
   std::size_t shards = 1;
   /// Worker threads *per shard*.
@@ -94,8 +95,8 @@ struct ServiceConfig {
   std::uint64_t config_epoch = 0;
   /// Metrics sink; nullptr = obs::default_registry().
   obs::MetricsRegistry* metrics = nullptr;
-  /// Replay knobs shared by every session (engine_config.metrics is pointed
-  /// at the service registry when unset).
+  /// Replay knobs shared by every resident run (engine_config.metrics is
+  /// pointed at the service registry when unset).
   ReplayOptions replay;
   /// Live-ingest stream knobs (epoch size, checkpoint cadence, compaction
   /// watermark, truncation retention), shared by every stream this service
@@ -188,7 +189,7 @@ struct IngestOutcome {
   std::string error;
   /// Records this call appended (0 for open_stream).
   std::size_t accepted = 0;
-  ingest::IngestStreamStats stream;
+  RunStats stream;
 };
 
 struct ServiceStats {
@@ -209,7 +210,7 @@ struct ServiceStats {
   std::uint64_t warm_resident_bytes = 0;  // measured warm-set footprint
   std::size_t shards = 1;
   std::vector<std::size_t> shard_queue_depths;  // one entry per shard
-  std::vector<std::pair<std::string, SessionStats>> per_session;
+  std::vector<std::pair<std::string, RunStats>> per_session;
   // Live-ingest tier, summed across streams (per_stream has the breakdown).
   std::size_t ingest_streams = 0;
   std::uint64_t ingest_events = 0;
@@ -218,7 +219,7 @@ struct ServiceStats {
   std::uint64_t ingest_segments_compacted = 0;
   std::uint64_t ingest_truncated_bytes = 0;
   std::uint64_t ingest_resident_bytes = 0;
-  std::vector<std::pair<std::string, ingest::IngestStreamStats>> per_stream;
+  std::vector<std::pair<std::string, RunStats>> per_stream;
 
   [[nodiscard]] std::string to_text() const;
 };
@@ -247,8 +248,8 @@ class DiagnosisService {
   bool cancel(std::uint64_t id);
 
   /// Live-state probe: is `tuple_text` live at the end of the scenario's
-  /// recorded execution? Served from the session's warm engine or its
-  /// checkpoint tier -- never a full replay once the session has one.
+  /// recorded execution? Served from the run's warm engine or its
+  /// checkpoint tier -- never a full replay once the run has one.
   /// `trace_id` (0 = none) scopes the probe's spans to the client's trace.
   [[nodiscard]] SubmitOutcome probe(const std::string& scenario,
                                     const std::string& tuple_text, bool& live,
@@ -273,7 +274,7 @@ class DiagnosisService {
 
   /// The live-ingest stream registry (tests and benches reach streams
   /// directly; queries go through submit with Query::stream).
-  [[nodiscard]] ingest::IngestManager& ingest_streams() { return *ingest_; }
+  [[nodiscard]] RunRegistry& ingest_streams() { return *streams_; }
 
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] obs::MetricsRegistry& metrics() { return *registry_; }
@@ -304,9 +305,9 @@ class DiagnosisService {
   struct JobState {
     std::string key;
     std::size_t shard = 0;
-    std::shared_ptr<WarmSession> session;
-    /// Set instead of `session` for live-stream queries (Query::stream).
-    std::shared_ptr<ingest::IngestStream> stream;
+    std::shared_ptr<ResidentRun> run;
+    /// The registry that holds `run`; its budget pass follows the job.
+    RunRegistry* registry = nullptr;
     DiagnoseSpec spec;
     bool cacheable = true;
     /// Trace context of the *first* submitter; coalesced duplicates share
@@ -324,15 +325,15 @@ class DiagnosisService {
     std::atomic<std::uint64_t> busy_since_us{0};
   };
 
-  /// One independent serving lane: session set, queue, workers, tickets.
+  /// One independent serving lane: resident runs, queue, workers, tickets.
   struct Shard {
     Shard(std::size_t index, std::size_t max_warm,
           std::shared_ptr<WarmBudgetLedger> ledger, ReplayOptions options,
-          obs::MetricsRegistry& registry, std::size_t queue_capacity,
-          std::size_t slow_journal_capacity);
+          ingest::IngestOptions ingest, obs::MetricsRegistry& registry,
+          std::size_t queue_capacity, std::size_t slow_journal_capacity);
 
     const std::size_t index;
-    SessionManager sessions;
+    RunRegistry runs;
     BoundedQueue<std::shared_ptr<JobState>> queue;
     obs::Gauge& queue_depth;  // dp.service.shard.<i>.queue_depth
     /// Slow queries captured by this shard's workers (slowlog.h).
@@ -392,7 +393,7 @@ class DiagnosisService {
   /// Live-ingest streams; publishes resident bytes into the ledger's extra
   /// slot (index = shard count). Created before the watchdog thread, which
   /// drives its maintenance pass.
-  std::unique_ptr<ingest::IngestManager> ingest_;
+  std::unique_ptr<RunRegistry> streams_;
 
   std::atomic<bool> accepting_{true};
   std::mutex shutdown_mutex_;

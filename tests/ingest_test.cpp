@@ -1,7 +1,9 @@
-// Tests for the streaming-ingest subsystem (src/ingest): byte-identity of
-// live-stream diagnoses with the one-shot CLI's batch replay (the contract:
-// a diagnosis against the always-current graph equals a cold replay of the
-// same prefix, bit for bit), segment/checkpoint wire hardening in the
+// Tests for streaming ingest (resident runs fed by append, and the segment
+// tier in src/ingest): byte-identity of live-stream diagnoses with the
+// one-shot CLI's batch replay (the contract: a diagnosis against the
+// always-current graph equals a cold replay of the same prefix, bit for bit)
+// and with a run opened over the recorded log, through cool() and re-warm,
+// segment/checkpoint wire hardening in the
 // serialization_test style (randomized round-trips, every truncation offset
 // a clean torn tail), tier maintenance (compaction and epoch-bounded
 // truncation never change answers), and the service-level wiring: stream
@@ -17,15 +19,14 @@
 #include <thread>
 #include <vector>
 
-#include "ingest/manager.h"
 #include "ingest/segment.h"
-#include "ingest/stream.h"
 #include "ndlog/parser.h"
 #include "obs/json_check.h"
 #include "obs/metrics.h"
 #include "service/diagnose.h"
 #include "service/problem.h"
 #include "service/protocol.h"
+#include "service/resident_run.h"
 #include "service/service.h"
 #include "tools/cli.h"
 #include "util/rng.h"
@@ -92,14 +93,11 @@ void expect_same_answer(const service::DiagnoseOutcome& live,
 
 /// Diagnoses against the stream's always-current run and checks the bytes
 /// against a cold replay of the same prefix.
-void check_cut(IngestStream& stream, const service::Problem& problem,
+void check_cut(service::ResidentRun& stream, const service::Problem& problem,
                std::size_t n, const std::string& what) {
   auto run = stream.ensure_current();
-  service::Problem live_problem{stream.program(), stream.topology(),
-                                stream.log(), stream.good_event(),
-                                stream.bad_event()};
-  const auto live =
-      diagnose_problem(live_problem, spec_for(problem), ReplayOptions{}, run);
+  const auto live = diagnose_problem(stream.problem(), spec_for(problem),
+                                     ReplayOptions{}, run);
   expect_same_answer(live, cold_answer(problem, n), what);
 }
 
@@ -111,9 +109,8 @@ TEST(IngestStream, ByteIdenticalToBatchReplayAtEveryCut) {
     obs::MetricsRegistry registry;
     IngestOptions ingest;
     ingest.epoch_events = 5;  // several epoch boundaries per scenario
-    IngestStream stream(name, problem.program, problem.topology,
-                        problem.good_event, problem.bad_event, ReplayOptions{},
-                        ingest, registry);
+    service::ResidentRun stream(name, problem, service::RunSource::kAppend,
+                              ReplayOptions{}, ingest, registry);
 
     // Cuts: the first epoch boundary, a mid-epoch point, and the full log.
     const std::size_t total = problem.log.size();
@@ -132,10 +129,50 @@ TEST(IngestStream, ByteIdenticalToBatchReplayAtEveryCut) {
       check_cut(stream, problem, cut,
                 std::string(name) + " cut@" + std::to_string(cut));
     }
-    const IngestStreamStats stats = stream.stats();
+    const service::RunStats stats = stream.stats();
     EXPECT_EQ(stats.events, total);
-    EXPECT_EQ(stats.snapshots, cuts.size());
+    EXPECT_EQ(stats.queries, cuts.size());
     EXPECT_EQ(stats.watermark, problem.log.records().back().time);
+  }
+}
+
+TEST(ResidentRun, RecordedAndFedRunsDiagnoseAlikeThroughCoolAndRewarm) {
+  // The two ways a run gets its events -- the recorded log loaded whole, or
+  // the same log in time order fed by append -- must give the same bytes,
+  // and so must each run replayed again after cool().
+  for (const char* name : kAllScenarios) {
+    std::ostringstream err;
+    const std::optional<service::Problem> authored =
+        service::builtin_scenario(name, err);
+    ASSERT_TRUE(authored.has_value()) << err.str();
+    const service::Problem sorted = scenario(name);
+    obs::MetricsRegistry registry;
+    IngestOptions ingest;
+    ingest.epoch_events = 7;
+    service::ResidentRun recorded(name, *authored,
+                                  service::RunSource::kRecordedLog,
+                                  ReplayOptions{}, ingest, registry);
+    service::ResidentRun fed(name, sorted, service::RunSource::kAppend,
+                             ReplayOptions{}, ingest, registry);
+    for (const LogRecord& record : sorted.log.records()) fed.append(record);
+
+    const auto diagnose = [&](service::ResidentRun& run) {
+      return diagnose_problem(run.problem(), spec_for(sorted),
+                              ReplayOptions{}, run.ensure_current());
+    };
+    const auto answer = diagnose(recorded);
+    expect_same_answer(diagnose(fed), answer, std::string(name) + " fed");
+    for (service::ResidentRun* run : {&recorded, &fed}) {
+      run->cool();
+      bool rebuilt = false;
+      run->ensure_current(&rebuilt);
+      EXPECT_TRUE(rebuilt) << name;
+      expect_same_answer(diagnose(*run), answer,
+                         std::string(name) + (run->fed() ? " fed" : "") +
+                             " after cool");
+      EXPECT_EQ(run->stats().cold_replays, run->fed() ? 1u : 2u) << name;
+    }
+    EXPECT_EQ(fed.stats().live_rebuilds, 0u) << name;
   }
 }
 
@@ -168,9 +205,8 @@ TEST(IngestStream, SameTimeAppendRunsStraddlingEpochSealsStayIdentical) {
   IngestOptions ingest;
   ingest.epoch_events = 4;           // seals land mid same-time run
   ingest.checkpoint_every_epochs = 1;  // capture with a batch still queued
-  IngestStream stream("straddle", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      ingest, registry);
+  service::ResidentRun stream("straddle", problem, service::RunSource::kAppend,
+                              ReplayOptions{}, ingest, registry);
   std::size_t fed = 0;
   for (const std::size_t cut : {std::size_t{7}, std::size_t{13}, log.size()}) {
     for (; fed < cut; ++fed) stream.append(log.records()[fed]);
@@ -188,16 +224,15 @@ TEST(IngestStream, CompactionNeverChangesAnswers) {
   ingest.checkpoint_every_epochs = 2;
   ingest.compact_watermark = 2;
   ingest.retain_epochs = 1000;  // retention never truncates; isolate merging
-  IngestStream stream("sdn1", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      ingest, registry);
+  service::ResidentRun stream("sdn1", problem, service::RunSource::kAppend,
+                              ReplayOptions{}, ingest, registry);
   for (const LogRecord& record : problem.log.records()) stream.append(record);
   stream.seal();
   const std::uint32_t sealed = stream.stats().sealed_epochs;
   ASSERT_GT(sealed, 2u);
 
   stream.maintain(/*under_pressure=*/false);
-  const IngestStreamStats stats = stream.stats();
+  const service::RunStats stats = stream.stats();
   EXPECT_GT(stats.compactions, 0u);
   EXPECT_GT(stats.segments_compacted, 0u);
   EXPECT_EQ(stats.segments, ingest.compact_watermark);
@@ -218,20 +253,19 @@ TEST(IngestStream, PressureTruncationNeverChangesAnswers) {
   ingest.checkpoint_every_epochs = 2;
   ingest.compact_watermark = 0;  // no merging; isolate truncation
   ingest.retain_epochs = 1;
-  IngestStream stream("sdn1", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      ingest, registry);
+  service::ResidentRun stream("sdn1", problem, service::RunSource::kAppend,
+                              ReplayOptions{}, ingest, registry);
   for (const LogRecord& record : problem.log.records()) stream.append(record);
   stream.seal();
 
   // Memory pressure: every checkpoint-covered segment goes; answers hold
   // because the full in-memory prefix is retained.
   stream.maintain(/*under_pressure=*/true);
-  const IngestStreamStats stats = stream.stats();
+  const service::RunStats stats = stream.stats();
   EXPECT_GT(stats.truncated_segments, 0u);
   EXPECT_GT(stats.truncated_bytes, 0u);
   check_cut(stream, problem, problem.log.size(), "after pressure truncation");
-  EXPECT_EQ(stream.log().size(), problem.log.size())
+  EXPECT_EQ(stream.problem().log.size(), problem.log.size())
       << "truncation must only drop storage-tier segments";
 
   // The remaining segments still form an adjacent epoch chain (truncation
@@ -245,9 +279,8 @@ TEST(IngestStream, PressureTruncationNeverChangesAnswers) {
 TEST(IngestStream, StaleAppendFallsBackToOneRebuild) {
   const service::Problem problem = scenario("sdn1");
   obs::MetricsRegistry registry;
-  IngestStream stream("sdn1", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      IngestOptions{}, registry);
+  service::ResidentRun stream("sdn1", problem, service::RunSource::kAppend,
+                              ReplayOptions{}, IngestOptions{}, registry);
   const auto& records = problem.log.records();
   const std::size_t half = records.size() / 2;
   for (std::size_t i = 0; i < half; ++i) stream.append(records[i]);
@@ -273,13 +306,10 @@ TEST(IngestStream, StaleAppendFallsBackToOneRebuild) {
   EXPECT_EQ(stream.stats().live_rebuilds, 1u);
 
   // And the rebuilt answer still equals a cold replay of the same log.
-  service::Problem live_problem{stream.program(), stream.topology(),
-                                stream.log(), stream.good_event(),
-                                stream.bad_event()};
-  const auto live = diagnose_problem(live_problem, spec_for(problem),
+  const auto live = diagnose_problem(stream.problem(), spec_for(problem),
                                      ReplayOptions{}, stream.ensure_current());
   const auto cold =
-      diagnose_problem(live_problem, spec_for(problem), ReplayOptions{});
+      diagnose_problem(stream.problem(), spec_for(problem), ReplayOptions{});
   expect_same_answer(live, cold, "after rebuild");
   EXPECT_EQ(stream.stats().live_rebuilds, 1u) << "rebuild repairs, once";
 }
@@ -287,9 +317,8 @@ TEST(IngestStream, StaleAppendFallsBackToOneRebuild) {
 TEST(IngestStream, RejectsOutOfOrderAndHalfBatches) {
   const service::Problem problem = scenario("sdn1");
   obs::MetricsRegistry registry;
-  IngestStream stream("sdn1", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      IngestOptions{}, registry);
+  service::ResidentRun stream("sdn1", problem, service::RunSource::kAppend,
+                              ReplayOptions{}, IngestOptions{}, registry);
   const std::string text = problem.log.to_text();
   const std::size_t appended = stream.append_text(text);
   EXPECT_EQ(appended, problem.log.size());
@@ -304,14 +333,14 @@ TEST(IngestStream, RejectsOutOfOrderAndHalfBatches) {
   const std::string head =
       "+ " + problem.log.records().back().tuple().to_string() + " @ " +
       std::to_string(watermark + 1) + "\n";
-  const std::size_t before = stream.log().size();
+  const std::size_t before = stream.problem().log.size();
   EXPECT_THROW(stream.append_text(head + "not an event line\n"),
                std::exception);
   EXPECT_THROW(stream.append_text(
                    head + "+ " +
                    problem.log.records().front().tuple().to_string() + " @ 0\n"),
                std::exception);
-  EXPECT_EQ(stream.log().size(), before);
+  EXPECT_EQ(stream.problem().log.size(), before);
   EXPECT_EQ(stream.watermark(), watermark);
 }
 
@@ -336,17 +365,16 @@ TEST(IngestStream, BootstrapFromCheckpointMatchesBatchBaseState) {
   IngestOptions ingest;
   ingest.epoch_events = 3;
   ingest.checkpoint_every_epochs = 2;
-  IngestStream stream("sdn2", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      ingest, registry);
+  service::ResidentRun stream("sdn2", problem, service::RunSource::kAppend,
+                              ReplayOptions{}, ingest, registry);
   for (const LogRecord& record : problem.log.records()) stream.append(record);
   stream.seal();
   ASSERT_GT(stream.stats().checkpoints, 0u);
 
-  // The bootstrap contract is state reconstruction (the warm-session
-  // checkpoint tier's contract): checkpoint + segment suffix + open epoch
-  // must land on the same base state as replaying the whole history.
-  const std::unique_ptr<Engine> booted = stream.bootstrap_engine();
+  // The restore contract is state reconstruction (what a cooled run's
+  // probes rely on): checkpoint + retained log suffix must land on the same
+  // base state as replaying the whole history.
+  const std::unique_ptr<Engine> booted = stream.restore_engine();
   ReplayResult batch =
       replay(problem.program, problem.topology, problem.log, {}, {});
   EXPECT_EQ(base_table_rows(*booted, problem.program),
@@ -359,9 +387,8 @@ TEST(IngestStream, WriteBootstrapRoundTripsThroughStreamFile) {
   IngestOptions ingest;
   ingest.epoch_events = 4;
   ingest.checkpoint_every_epochs = 2;
-  IngestStream stream("sdn1", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      ingest, registry);
+  service::ResidentRun stream("sdn1", problem, service::RunSource::kAppend,
+                              ReplayOptions{}, ingest, registry);
   for (const LogRecord& record : problem.log.records()) stream.append(record);
   stream.seal();
 
@@ -381,7 +408,7 @@ TEST(IngestStream, WriteBootstrapRoundTripsThroughStreamFile) {
               stream.segments()[i]->log().records());
     sealed_records += file.segments[i].size();
   }
-  EXPECT_EQ(sealed_records + stream.stats().open_records, stream.log().size());
+  EXPECT_EQ(sealed_records + stream.stats().open_records, stream.problem().log.size());
 
   // A torn tail (any truncation) must fall back to the sealed prefix, never
   // throw: the stream survives a crash mid-write.

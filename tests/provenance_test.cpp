@@ -92,6 +92,24 @@ TEST(Graph, TriggerIndexFindsDownstreamDerivations) {
   EXPECT_EQ(graph.vertex(derivations[0]).tuple(), head);
 }
 
+TEST(Graph, ResidentBytesFollowGrowthAndTheSortedKeyCache) {
+  // resident_bytes() is memoized on an unchanged graph; the memo must let
+  // go when a vertex lands or the lazily built sorted-key cache grows.
+  ProvenanceGraph graph;
+  graph.record_base_insert(make("cfg", {"n", 1}), 1, false);
+  const std::size_t one = graph.resident_bytes();
+  EXPECT_EQ(graph.resident_bytes(), one);
+  graph.record_base_insert(make("cfg", {"n", 2}), 2, false);
+  const std::size_t two = graph.resident_bytes();
+  EXPECT_GT(two, one);
+  std::size_t tuples = 0;
+  graph.for_each_tuple([&](const Tuple&, const std::vector<VertexId>&) {
+    ++tuples;
+  });
+  EXPECT_EQ(tuples, 2u);
+  EXPECT_GT(graph.resident_bytes(), two) << "the sorted keys are resident";
+}
+
 // ---------------------------------------------------------------- trees --
 
 constexpr const char* kChainProgram = R"(

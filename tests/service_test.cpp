@@ -1,6 +1,6 @@
 // Tests for the concurrent diagnosis service (src/service): byte-identity
 // with the one-shot CLI, result caching and single-flight coalescing, warm
-// sessions skipping replays, admission control (shed, not block), cancel,
+// resident runs skipping replays, admission control (shed, not block), cancel,
 // and drain-on-shutdown. The concurrency tests are the TSan targets: N
 // threads hammer the service with duplicate and distinct queries across
 // several scenarios, and every response must equal the single-threaded CLI
@@ -24,6 +24,7 @@
 #include "service/bounded_queue.h"
 #include "service/cache.h"
 #include "service/diagnose.h"
+#include "ndlog/parser.h"
 #include "service/problem.h"
 #include "service/service.h"
 #include "tools/cli.h"
@@ -345,6 +346,32 @@ TEST(Service, InlineProblemsMatchTheCliFilePath) {
   EXPECT_EQ(again.result.out, expected.out);
 }
 
+TEST(Service, InlineProblemsSharingALogDoNotShareCachedAnswers) {
+  // Same log, same events, different programs: the second problem must be
+  // diagnosed, not answered from the first one's cache entry.
+  const std::string log_text = "+ src(@n1, 1) @ 1\n+ src(@n1, 2) @ 2\n";
+  const std::string table_decls =
+      "table src(2) keys(0, 1) base mutable.\n"
+      "table reach(2) derived event.\n";
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  DiagnosisService service(config);
+  std::vector<std::string> answers;
+  for (const std::string rule : {"rule r reach(@N, K) :- src(@N, K).",
+                                 "rule q reach(@N, K) :- src(@N, K), K > 1."}) {
+    Query query;
+    query.program_text = table_decls + rule;
+    query.log_text = log_text;
+    query.good = "reach(@n1, 1)";
+    query.bad = "reach(@n1, 2)";
+    const QueryStatus status = wait_done(service, service.submit(query));
+    EXPECT_FALSE(status.cache_hit);
+    answers.push_back(status.result.out + status.result.err);
+  }
+  EXPECT_NE(answers[0], answers[1]);
+}
+
 TEST(Service, ValidationErrorsAreExplicit) {
   obs::MetricsRegistry registry;
   ServiceConfig config;
@@ -387,7 +414,7 @@ TEST(Service, RepeatQueryHitsTheCacheWithoutASecondRun) {
   EXPECT_EQ(registry.counter("dp.service.cache.misses").value(), 1u);
 }
 
-TEST(Service, WarmSessionSkipsTheReplayOnLaterQueries) {
+TEST(Service, WarmRunSkipsTheReplayOnLaterQueries) {
   obs::MetricsRegistry registry;
   ServiceConfig config;
   config.metrics = &registry;
@@ -403,7 +430,7 @@ TEST(Service, WarmSessionSkipsTheReplayOnLaterQueries) {
 
   const ServiceStats stats = service.stats();
   ASSERT_EQ(stats.per_session.size(), 1u);
-  const SessionStats& session = stats.per_session[0].second;
+  const RunStats& session = stats.per_session[0].second;
   EXPECT_EQ(session.queries, 2u);
   EXPECT_EQ(session.cold_replays, 1u);
   EXPECT_EQ(session.warm_hits, 1u);
@@ -529,28 +556,28 @@ TEST(ReplayCount, ColdAnswersAreByteIdenticalToWarmOnes) {
             scenarios + 1);
 }
 
-TEST(SessionManager, ByteBudgetCoolsLruSessionsByMeasuredFootprint) {
+TEST(RunRegistry, ByteBudgetCoolsLruRunsByMeasuredFootprint) {
   obs::MetricsRegistry registry;
-  // A 1-byte budget: any warm session exceeds it, so after warming two
-  // sessions the LRU one must be cooled while the most recent is spared
-  // (cooling it too would defeat the warm tier entirely).
-  SessionManager manager(/*max_warm=*/8, /*warm_bytes_budget=*/1,
-                         ReplayOptions{}, registry);
+  // A 1-byte budget: any warm run exceeds it, so after warming two runs the
+  // LRU one must be cooled while the most recent is spared (cooling it too
+  // would defeat the warm tier entirely).
+  RunRegistry manager(/*max_warm=*/8, /*warm_bytes_budget=*/1,
+                      ReplayOptions{}, ingest::IngestOptions{}, registry);
   std::string error;
-  std::shared_ptr<WarmSession> a = manager.get_scenario("sdn1", error);
+  std::shared_ptr<ResidentRun> a = manager.get_scenario("sdn1", error);
   ASSERT_NE(a, nullptr) << error;
-  std::shared_ptr<WarmSession> b = manager.get_scenario("sdn2", error);
+  std::shared_ptr<ResidentRun> b = manager.get_scenario("sdn2", error);
   ASSERT_NE(b, nullptr) << error;
   {
     std::lock_guard<std::mutex> lock(a->mutex());
-    a->ensure_warm();
+    a->ensure_current();
     // Footprint is measured, not assumed: a replayed SDN1 graph is far more
     // than the 1-byte floor.
     EXPECT_GT(a->resident_bytes(), 1u);
   }
   {
     std::lock_guard<std::mutex> lock(b->mutex());
-    b->ensure_warm();
+    b->ensure_current();
   }
   manager.enforce_budget();
   {
@@ -568,18 +595,18 @@ TEST(SessionManager, ByteBudgetCoolsLruSessionsByMeasuredFootprint) {
             static_cast<std::int64_t>(manager.warm_bytes()));
 }
 
-TEST(SessionManager, GenerousByteBudgetKeepsTheWarmSetResident) {
+TEST(RunRegistry, GenerousByteBudgetKeepsTheWarmSetResident) {
   obs::MetricsRegistry registry;
-  SessionManager manager(/*max_warm=*/8, /*warm_bytes_budget=*/1ull << 30,
-                         ReplayOptions{}, registry);
+  RunRegistry manager(/*max_warm=*/8, /*warm_bytes_budget=*/1ull << 30,
+                      ReplayOptions{}, ingest::IngestOptions{}, registry);
   std::string error;
-  std::shared_ptr<WarmSession> a = manager.get_scenario("sdn1", error);
+  std::shared_ptr<ResidentRun> a = manager.get_scenario("sdn1", error);
   ASSERT_NE(a, nullptr) << error;
-  std::shared_ptr<WarmSession> b = manager.get_scenario("sdn2", error);
+  std::shared_ptr<ResidentRun> b = manager.get_scenario("sdn2", error);
   ASSERT_NE(b, nullptr) << error;
   for (const auto& session : {a, b}) {
     std::lock_guard<std::mutex> lock(session->mutex());
-    session->ensure_warm();
+    session->ensure_current();
   }
   manager.enforce_budget();
   for (const auto& session : {a, b}) {
@@ -588,6 +615,122 @@ TEST(SessionManager, GenerousByteBudgetKeepsTheWarmSetResident) {
   }
   EXPECT_EQ(registry.counter("dp.service.session.evictions").value(), 0u);
   EXPECT_EQ(manager.warm_bytes(), a->resident_bytes() + b->resident_bytes());
+}
+
+/// A built-in scenario with its log in time order (a live stream's append
+/// contract).
+Problem time_sorted(const std::string& name) {
+  std::ostringstream err;
+  std::optional<Problem> problem = builtin_scenario(name, err);
+  EXPECT_TRUE(problem.has_value()) << err.str();
+  std::vector<LogRecord> records = problem->log.records();
+  std::stable_sort(
+      records.begin(), records.end(),
+      [](const LogRecord& a, const LogRecord& b) { return a.time < b.time; });
+  problem->log = EventLog{};
+  for (const LogRecord& record : records) problem->log.append(record);
+  return std::move(*problem);
+}
+
+TEST(RunRegistry, BudgetPassNeverCoolsALiveStream) {
+  obs::MetricsRegistry registry;
+  // A 1-byte budget cools every run over a recorded log but the MRU one; a
+  // live stream in the same registry stays resident however far over budget
+  // it is -- cooling it would make every later snapshot replay its log.
+  RunRegistry runs(/*max_warm=*/8, /*warm_bytes_budget=*/1, ReplayOptions{},
+                   ingest::IngestOptions{}, registry);
+  std::string error;
+  std::shared_ptr<ResidentRun> old_run = runs.get_scenario("sdn2", error);
+  ASSERT_NE(old_run, nullptr) << error;
+  std::shared_ptr<ResidentRun> new_run = runs.get_scenario("sdn3", error);
+  ASSERT_NE(new_run, nullptr) << error;
+  const Problem sdn1 = time_sorted("sdn1");
+  std::shared_ptr<ResidentRun> live = runs.open("live", sdn1);
+  ASSERT_TRUE(live->fed());
+  for (const auto& run : {old_run, new_run, live}) {
+    std::lock_guard<std::mutex> lock(run->mutex());
+    if (run == live) run->append_text(sdn1.log.to_text());
+    run->ensure_current();
+  }
+  runs.enforce_budget();
+  runs.maintain(/*under_pressure=*/true);
+  {
+    std::lock_guard<std::mutex> lock(live->mutex());
+    EXPECT_TRUE(live->is_warm()) << "a live stream is never cooled";
+    EXPECT_EQ(live->stats().cold_replays, 0u);
+  }
+  {
+    std::lock_guard<std::mutex> lock(old_run->mutex());
+    EXPECT_FALSE(old_run->is_warm()) << "the LRU recorded run cools";
+  }
+  {
+    std::lock_guard<std::mutex> lock(new_run->mutex());
+    EXPECT_TRUE(new_run->is_warm()) << "the MRU recorded run is spared";
+  }
+  EXPECT_GT(live->resident_bytes(), 1u);
+  EXPECT_EQ(registry.gauge("dp.ingest.resident_bytes").value(),
+            static_cast<std::int64_t>(live->resident_bytes()));
+  EXPECT_EQ(registry.gauge("dp.service.session.resident_bytes").value(),
+            static_cast<std::int64_t>(runs.warm_bytes() +
+                                      live->resident_bytes()));
+  EXPECT_EQ(registry.counter("dp.service.session.evictions").value(), 1u);
+}
+
+TEST(ResidentRun, ProbeOnACooledRunRestoresFromTheCheckpointWithoutReplay) {
+  const std::string present =
+      "policyRoute(@ctl, \"sw2\", 100, 4.3.2.0/24, \"sw6\")";
+  const std::string absent =
+      "policyRoute(@ctl, \"sw2\", 100, 9.9.9.0/24, \"sw6\")";
+  const Problem sdn1 = time_sorted("sdn1");
+  ingest::IngestOptions tiers;
+  tiers.epoch_events = 4;
+  tiers.checkpoint_every_epochs = 2;
+  for (const RunSource source : {RunSource::kRecordedLog, RunSource::kAppend}) {
+    obs::MetricsRegistry registry;
+    ResidentRun run("sdn1", sdn1, source, ReplayOptions{}, tiers, registry);
+    std::lock_guard<std::mutex> lock(run.mutex());
+    if (run.fed()) run.append_text(sdn1.log.to_text());
+    run.ensure_current();
+    run.cool();
+    ASSERT_FALSE(run.is_warm());
+
+    const std::uint64_t replays = replays_so_far();
+    EXPECT_TRUE(run.probe_live(parse_tuple(present)));
+    EXPECT_FALSE(run.probe_live(parse_tuple(absent)));
+    EXPECT_EQ(replays_so_far(), replays) << "a cooled probe never replays";
+    EXPECT_EQ(run.stats().checkpoint_restores, 1u)
+        << "one restore serves every later probe";
+    EXPECT_EQ(
+        registry.counter("dp.service.session.checkpoint_restores").value(),
+        1u);
+    EXPECT_FALSE(run.is_warm());
+  }
+}
+
+TEST(ResidentRun, IdleSnapshotKeepsItsBytesAndAnAppendRaisesThem) {
+  const Problem sdn1 = time_sorted("sdn1");
+  const auto& records = sdn1.log.records();
+  obs::MetricsRegistry registry;
+  ResidentRun live("live", sdn1, RunSource::kAppend, ReplayOptions{},
+                   ingest::IngestOptions{}, registry);
+  std::lock_guard<std::mutex> lock(live.mutex());
+  for (std::size_t i = 0; i < records.size() / 2; ++i) live.append(records[i]);
+  const auto first = live.ensure_current();
+  const std::uint64_t bytes = live.resident_bytes();
+  const std::size_t graph_bytes = first->graph->resident_bytes();
+  EXPECT_GT(bytes, graph_bytes);  // plus the retained log
+
+  bool rebuilt = true;
+  const auto idle = live.ensure_current(&rebuilt);
+  EXPECT_FALSE(rebuilt);
+  EXPECT_EQ(idle, first) << "an idle snapshot hands back the same run";
+  EXPECT_EQ(live.resident_bytes(), bytes);
+
+  for (std::size_t i = records.size() / 2; i < records.size(); ++i) {
+    live.append(records[i]);
+  }
+  EXPECT_GT(live.ensure_current()->graph->resident_bytes(), graph_bytes);
+  EXPECT_GT(live.resident_bytes(), bytes);
 }
 
 TEST(Service, BypassCacheAlwaysRuns) {
@@ -1157,25 +1300,25 @@ TEST(WarmBudgetLedger, TracksShareAndGlobalUsage) {
 
 TEST(WarmBudgetLedger, HotShardCoolsOnlyPastGlobalBudgetAndOwnShare) {
   obs::MetricsRegistry registry;
-  // Two shard managers on one 1-byte global budget: any warm session
-  // overruns it, so each shard cools down to its spared MRU session.
+  // Two shard registries on one 1-byte global budget: any warm run overruns
+  // it, so each shard cools down to its spared MRU run.
   auto ledger = std::make_shared<WarmBudgetLedger>(/*total_bytes=*/1,
                                                    /*shards=*/2);
-  SessionManager hot(/*max_warm=*/8, ledger, /*shard_index=*/0,
-                     ReplayOptions{}, registry);
-  SessionManager idle(/*max_warm=*/8, ledger, /*shard_index=*/1,
-                      ReplayOptions{}, registry);
+  RunRegistry hot(/*max_warm=*/8, ledger, /*slot=*/0, ReplayOptions{},
+                  ingest::IngestOptions{}, registry);
+  RunRegistry idle(/*max_warm=*/8, ledger, /*slot=*/1, ReplayOptions{},
+                   ingest::IngestOptions{}, registry);
 
   std::string error;
-  std::shared_ptr<WarmSession> a = hot.get_scenario("sdn1", error);
+  std::shared_ptr<ResidentRun> a = hot.get_scenario("sdn1", error);
   ASSERT_NE(a, nullptr) << error;
-  std::shared_ptr<WarmSession> b = hot.get_scenario("sdn2", error);
+  std::shared_ptr<ResidentRun> b = hot.get_scenario("sdn2", error);
   ASSERT_NE(b, nullptr) << error;
-  std::shared_ptr<WarmSession> c = idle.get_scenario("sdn3", error);
+  std::shared_ptr<ResidentRun> c = idle.get_scenario("sdn3", error);
   ASSERT_NE(c, nullptr) << error;
   for (const auto& session : {a, b, c}) {
     std::lock_guard<std::mutex> lock(session->mutex());
-    session->ensure_warm();
+    session->ensure_current();
   }
 
   hot.enforce_budget();
@@ -1199,15 +1342,15 @@ TEST(WarmBudgetLedger, HotShardCoolsOnlyPastGlobalBudgetAndOwnShare) {
   obs::MetricsRegistry registry2;
   auto roomy = std::make_shared<WarmBudgetLedger>(/*total_bytes=*/1ull << 30,
                                                   /*shards=*/2);
-  SessionManager borrow(/*max_warm=*/8, roomy, /*shard_index=*/0,
-                        ReplayOptions{}, registry2);
-  std::shared_ptr<WarmSession> d = borrow.get_scenario("sdn1", error);
+  RunRegistry borrow(/*max_warm=*/8, roomy, /*slot=*/0, ReplayOptions{},
+                     ingest::IngestOptions{}, registry2);
+  std::shared_ptr<ResidentRun> d = borrow.get_scenario("sdn1", error);
   ASSERT_NE(d, nullptr) << error;
-  std::shared_ptr<WarmSession> e = borrow.get_scenario("sdn2", error);
+  std::shared_ptr<ResidentRun> e = borrow.get_scenario("sdn2", error);
   ASSERT_NE(e, nullptr) << error;
   for (const auto& session : {d, e}) {
     std::lock_guard<std::mutex> lock(session->mutex());
-    session->ensure_warm();
+    session->ensure_current();
   }
   borrow.enforce_budget();
   for (const auto& session : {d, e}) {
