@@ -90,18 +90,23 @@ class ReplayProvider {
   virtual BadRun replay_bad(const Delta& delta) = 0;
 };
 
-/// Replays a recorded NDlog execution (the common case).
+/// Replays a recorded NDlog execution (the common case). The program and the
+/// log are borrowed -- a diagnosis replays a run's whole retained log, which
+/// must not be copied per query -- and must outlive the provider; a
+/// temporary log does not compile.
 class LogReplayProvider final : public ReplayProvider {
  public:
-  LogReplayProvider(const Program& program, Topology topology, EventLog log,
-                    ReplayOptions options = {})
+  LogReplayProvider(const Program& program, Topology topology,
+                    const EventLog& log, ReplayOptions options = {})
       : program_(&program),
         topology_(std::move(topology)),
-        log_(std::move(log)),
+        log_(&log),
         options_(std::move(options)) {}
+  LogReplayProvider(const Program& program, Topology topology, EventLog&& log,
+                    ReplayOptions options = {}) = delete;
 
   BadRun replay_bad(const Delta& delta) override {
-    ReplayResult result = replay(*program_, topology_, log_, delta, options_);
+    ReplayResult result = replay(*program_, topology_, *log_, delta, options_);
     BadRun run;
     std::shared_ptr<Engine> engine = std::move(result.engine);
     std::shared_ptr<ProvenanceRecorder> recorder = std::move(result.recorder);
@@ -114,7 +119,7 @@ class LogReplayProvider final : public ReplayProvider {
  private:
   const Program* program_;
   Topology topology_;
-  EventLog log_;
+  const EventLog* log_;
   ReplayOptions options_;
 };
 

@@ -114,19 +114,19 @@ void Table::project(const Tuple& t, const ColumnSet& cols,
 
 void Table::index_live_row(LiveMap::const_iterator it) const {
   for (auto& [cols, index] : indexes_) {
-    project(it->second, cols, projection_scratch_);
+    project(it->second.tuple, cols, projection_scratch_);
     auto& entries =
         index
             .bucket_for(JoinIndex::hash_key(projection_scratch_),
                         projection_scratch_)
             .entries;
-    const JoinIndex::Entry entry{&it->first, &it->second};
+    const JoinIndex::Entry entry{&*it, &it->second.tuple};
     // Keep the bucket sorted by live-map key: indexed enumeration must match
     // for_each_live()'s relative order (determinism guarantee).
     const auto pos = std::lower_bound(
         entries.begin(), entries.end(), entry,
         [](const JoinIndex::Entry& a, const JoinIndex::Entry& b) {
-          return *a.live_key < *b.live_key;
+          return a.node->first < b.node->first;
         });
     entries.insert(pos, entry);
   }
@@ -134,7 +134,7 @@ void Table::index_live_row(LiveMap::const_iterator it) const {
 
 void Table::unindex_live_row(LiveMap::const_iterator it) const {
   for (auto& [cols, index] : indexes_) {
-    project(it->second, cols, projection_scratch_);
+    project(it->second.tuple, cols, projection_scratch_);
     auto& entries =
         index
             .bucket_for(JoinIndex::hash_key(projection_scratch_),
@@ -143,39 +143,59 @@ void Table::unindex_live_row(LiveMap::const_iterator it) const {
     const auto pos = std::lower_bound(
         entries.begin(), entries.end(), it->first,
         [](const JoinIndex::Entry& a, const std::vector<Value>& key) {
-          return *a.live_key < key;
+          return a.node->first < key;
         });
-    assert(pos != entries.end() && *pos->live_key == it->first);
+    assert(pos != entries.end() && pos->node->first == it->first);
     entries.erase(pos);
     // The bucket itself stays, empty: slots are never vacated.
   }
 }
 
-Table::InsertResult Table::insert(const Tuple& t, LogicalTime now) {
-  InsertResult result;
+bool Table::prepare_insert(const Tuple& t, LogicalTime now,
+                           InsertResult& result) {
   key_of(t, key_scratch_);
   auto it = live_.find(key_scratch_);
   if (it != live_.end()) {
-    if (it->second == t) return result;  // identical tuple already live
+    if (it->second.tuple == t) return false;  // identical tuple already live
     // Key collision: displace the current holder (upsert semantics).
-    result.displaced = it->second;
-    auto& intervals = rows_[it->second];
+    auto& intervals = rows_[it->second.tuple];
     assert(!intervals.empty() && intervals.back().open_ended());
     intervals.back().end = now;
     unindex_live_row(it);
+    result.displaced_ref = it->second.ref;
+    result.displaced = std::move(it->second.tuple);
     live_.erase(it);
   }
   rows_[t].push_back(TimeInterval{now, kTimeInfinity});
-  const auto inserted = live_.emplace(std::move(key_scratch_), t).first;
+  return true;
+}
+
+Table::InsertResult Table::finish_insert(RefTuple&& row,
+                                         InsertResult& result) {
+  const auto inserted =
+      live_.emplace(std::move(key_scratch_), std::move(row)).first;
   index_live_row(inserted);
   result.inserted = true;
+  result.row = &inserted->second;
   return result;
+}
+
+Table::InsertResult Table::insert(const Tuple& t, LogicalTime now) {
+  InsertResult result;
+  if (!prepare_insert(t, now, result)) return result;
+  return finish_insert(RefTuple{t}, result);
+}
+
+Table::InsertResult Table::insert(RefTuple&& row, LogicalTime now) {
+  InsertResult result;
+  if (!prepare_insert(row.tuple, now, result)) return result;
+  return finish_insert(std::move(row), result);
 }
 
 bool Table::remove(const Tuple& t, LogicalTime now) {
   key_of(t, key_scratch_);
   auto it = live_.find(key_scratch_);
-  if (it == live_.end() || !(it->second == t)) return false;
+  if (it == live_.end() || !(it->second.tuple == t)) return false;
   auto& intervals = rows_[t];
   assert(!intervals.empty() && intervals.back().open_ended());
   intervals.back().end = now;
@@ -186,7 +206,7 @@ bool Table::remove(const Tuple& t, LogicalTime now) {
 
 bool Table::is_live(const Tuple& t) const {
   auto it = live_.find(key_of(t, key_scratch_));
-  return it != live_.end() && it->second == t;
+  return it != live_.end() && it->second.tuple == t;
 }
 
 bool Table::existed_at(const Tuple& t, LogicalTime at) const {
@@ -213,9 +233,7 @@ std::vector<TimeInterval> Table::history(const Tuple& t) const {
 }
 
 void Table::for_each_live(const std::function<void(const Tuple&)>& fn) const {
-  for (const auto& [key, tuple] : live_) {
-    fn(tuple);
-  }
+  for (const auto& [key, row] : live_) fn(row.tuple);
 }
 
 const Table::JoinIndex& Table::index_for(const ColumnSet& cols) const {
@@ -229,11 +247,11 @@ const Table::JoinIndex& Table::index_for(const ColumnSet& cols) const {
     index_it = indexes_.emplace(cols, JoinIndex{}).first;
     JoinIndex& index = index_it->second;
     for (auto it = live_.begin(); it != live_.end(); ++it) {
-      project(it->second, cols, projection_scratch_);
+      project(it->second.tuple, cols, projection_scratch_);
       index
           .bucket_for(JoinIndex::hash_key(projection_scratch_),
                       projection_scratch_)
-          .entries.push_back(JoinIndex::Entry{&it->first, &it->second});
+          .entries.push_back(JoinIndex::Entry{&*it, &it->second.tuple});
     }
   }
   return index_it->second;
@@ -242,12 +260,8 @@ const Table::JoinIndex& Table::index_for(const ColumnSet& cols) const {
 void Table::for_each_live_matching(
     const ColumnSet& cols, const std::vector<Value>& probe,
     const std::function<void(const Tuple&)>& fn) const {
-  const JoinIndex& index = index_for(cols);
-  const auto* entries = index.lookup(JoinIndex::hash_key(probe), probe);
-  if (entries == nullptr) return;
-  for (const JoinIndex::Entry& entry : *entries) {
-    fn(*entry.tuple);
-  }
+  for_each_live_row_matching(cols, probe,
+                             [&fn](const RefTuple& row) { fn(row.tuple); });
 }
 
 void Table::for_each_at(LogicalTime at,
@@ -266,7 +280,7 @@ std::vector<Tuple> Table::live_snapshot() const {
   std::vector<Tuple> out;
   out.reserve(live_.size());
   // live_ is keyed by projected key; re-sort by full tuple for determinism.
-  for (const auto& [key, tuple] : live_) out.push_back(tuple);
+  for (const auto& [key, row] : live_) out.push_back(row.tuple);
   std::sort(out.begin(), out.end());
   return out;
 }

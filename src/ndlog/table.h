@@ -30,6 +30,7 @@
 
 #include "ndlog/schema.h"
 #include "ndlog/tuple.h"
+#include "store/refs.h"
 #include "util/time.h"
 
 namespace dp {
@@ -38,8 +39,20 @@ namespace dp {
 /// probe binds.
 using ColumnSet = std::vector<std::size_t>;
 
+/// A tuple plus its interned ref, when the holder knows it (kNoTupleRef
+/// otherwise). Live table rows and engine events carry tuples this way, so a
+/// rule firing reads its body's refs instead of re-interning the rows.
+struct RefTuple {
+  Tuple tuple;
+  // Mutable: the engine fills in a live row's ref the first time a firing
+  // needs it; the tuple itself never changes.
+  mutable TupleRef ref = kNoTupleRef;
+};
+
 class Table {
  public:
+  using LiveMap = std::map<std::vector<Value>, RefTuple>;
+
   /// One secondary index: probe projection -> bucket of live rows, stored as
   /// an open-addressing hash table (power-of-two slot array, linear
   /// probing). Slots and buckets are never deleted -- a bucket whose rows
@@ -50,8 +63,8 @@ class Table {
   /// byte-identical to the reference scan.
   struct JoinIndex {
     struct Entry {
-      const std::vector<Value>* live_key;
-      const Tuple* tuple;
+      const LiveMap::value_type* node;  // live key + row
+      const Tuple* tuple;               // &node->second.tuple
     };
     struct Bucket {
       std::vector<Value> key;
@@ -118,11 +131,15 @@ class Table {
   struct InsertResult {
     bool inserted = false;            // false if the identical tuple was live
     std::optional<Tuple> displaced;   // key collision victim, already removed
+    TupleRef displaced_ref = kNoTupleRef;  // its row's ref, if known
+    const RefTuple* row = nullptr;    // the live row now holding the tuple
   };
 
   /// Starts a validity interval for `t` at `now`. No-op if the identical
   /// tuple is already live.
   InsertResult insert(const Tuple& t, LogicalTime now);
+  /// Same, moving the tuple and its ref (kept beside the live row) in.
+  InsertResult insert(RefTuple&& row, LogicalTime now);
 
   /// Ends the live interval of `t` at `now`. Returns false if not live.
   bool remove(const Tuple& t, LogicalTime now);
@@ -142,6 +159,13 @@ class Table {
   /// Deterministic iteration over live tuples (sorted by key projection).
   void for_each_live(const std::function<void(const Tuple&)>& fn) const;
 
+  /// for_each_live over the rows (tuple + ref), for callers that want the
+  /// refs; a template so the engine's join visitors inline.
+  template <typename F>
+  void for_each_live_row(F&& fn) const {
+    for (const auto& [key, row] : live_) fn(row);
+  }
+
   /// Deterministic iteration over the live tuples whose projection on
   /// `cols` (sorted column positions, non-empty) equals `probe`, in the same
   /// relative order as for_each_live(). Materializes the index for `cols` on
@@ -149,6 +173,17 @@ class Table {
   void for_each_live_matching(const ColumnSet& cols,
                               const std::vector<Value>& probe,
                               const std::function<void(const Tuple&)>& fn) const;
+
+  /// for_each_live_matching over the rows (tuple + ref).
+  template <typename F>
+  void for_each_live_row_matching(const ColumnSet& cols,
+                                  const std::vector<Value>& probe,
+                                  F&& fn) const {
+    const JoinIndex& index = index_for(cols);
+    const auto* entries = index.lookup(JoinIndex::hash_key(probe), probe);
+    if (entries == nullptr) return;
+    for (const JoinIndex::Entry& entry : *entries) fn(entry.node->second);
+  }
 
   /// The secondary index for `cols` (sorted, non-empty), materialized from
   /// the live view on first use and maintained incrementally afterwards.
@@ -181,15 +216,21 @@ class Table {
   const std::vector<Value>& key_of(const Tuple& t,
                                    std::vector<Value>& out) const;
 
-  /// The live tuple holding `key`, if any (aggregation reads the previous
+  /// The live row holding `key`, if any (aggregation reads the previous
   /// value through this).
-  [[nodiscard]] const Tuple* live_by_key(const std::vector<Value>& key) const {
+  [[nodiscard]] const RefTuple* live_by_key(
+      const std::vector<Value>& key) const {
     auto it = live_.find(key);
     return it == live_.end() ? nullptr : &it->second;
   }
 
  private:
-  using LiveMap = std::map<std::vector<Value>, Tuple>;
+  /// Insert's two halves: prepare_insert returns false if `t` is already
+  /// live, else displaces a key holder into `result` and opens `t`'s
+  /// interval; finish_insert moves the row into the live view.
+  bool prepare_insert(const Tuple& t, LogicalTime now, InsertResult& result);
+  InsertResult finish_insert(RefTuple&& row, InsertResult& result);
+
 
   /// Projection of `t` on `cols` into `out` (cleared first).
   static void project(const Tuple& t, const ColumnSet& cols,

@@ -90,7 +90,15 @@ VertexId ProvenanceGraph::add_vertex(VertexKind kind, TupleRef tuple,
   // next vertex, so the CSR span starts at the current edge cursor.
   edge_begin_.push_back(static_cast<std::uint32_t>(edges_.size()));
   edge_count_.push_back(0);
+  link_.push_back(kNoVertex);
   return id;
+}
+
+void ProvenanceGraph::collect_chain(VertexId latest,
+                                    std::vector<VertexId>& out) const {
+  out.clear();
+  for (VertexId v = latest; v != kNoVertex; v = link_[v]) out.push_back(v);
+  std::reverse(out.begin(), out.end());
 }
 
 Vertex ProvenanceGraph::vertex(VertexId id) const {
@@ -113,11 +121,11 @@ std::vector<VertexId> ProvenanceGraph::children_of(VertexId id) const {
 }
 
 std::optional<VertexId> ProvenanceGraph::live_exist(TupleRef tuple) const {
-  auto it = exist_index_.find(tuple);
-  if (it == exist_index_.end() || it->second.empty()) return std::nullopt;
-  const VertexId last = it->second.back();
-  if (exist_end_[last] != kTimeInfinity) return std::nullopt;
-  return last;
+  const VertexId* last = exist_index_.find(tuple);
+  if (last == nullptr || exist_end_[*last] != kTimeInfinity) {
+    return std::nullopt;
+  }
+  return *last;
 }
 
 void ProvenanceGraph::close_exist(TupleRef tuple, LogicalTime t) {
@@ -139,7 +147,8 @@ VertexId ProvenanceGraph::record_base_insert(TupleRef tuple, LogicalTime t,
   add_edge(appear_id);
   edge_count_[exist_id] = 1;
   if (is_event) exist_end_[exist_id] = t + 1;
-  exist_index_[tuple].push_back(exist_id);
+  auto [latest, fresh] = exist_index_.try_emplace(tuple);
+  chain_onto(*latest, fresh, exist_id);
   return exist_id;
 }
 
@@ -168,7 +177,9 @@ VertexId ProvenanceGraph::record_derive(TupleRef head, NameRef rule,
   add_edges(body_ids);
   edge_count_[derive_id] = static_cast<std::uint32_t>(body_ids.size());
   trigger_[derive_id] = static_cast<std::int32_t>(trigger_index);
-  trigger_index_[body_ids[trigger_index]].push_back(derive_id);
+  auto [latest_derive, first_derive] =
+      trigger_index_.try_emplace(body_ids[trigger_index]);
+  chain_onto(*latest_derive, first_derive, derive_id);
 
   // Additional support for an already-live head: attach the new DERIVE to
   // the existing APPEAR and keep the open EXIST. The APPEAR's CSR span is
@@ -188,7 +199,8 @@ VertexId ProvenanceGraph::record_derive(TupleRef head, NameRef rule,
   add_edge(appear_id);
   edge_count_[exist_id] = 1;
   if (is_event) exist_end_[exist_id] = t + 1;
-  exist_index_[head].push_back(exist_id);
+  auto [latest, fresh] = exist_index_.try_emplace(head);
+  chain_onto(*latest, fresh, exist_id);
   return exist_id;
 }
 
@@ -227,10 +239,10 @@ void ProvenanceGraph::record_underive(TupleRef tuple, NameRef rule,
 std::optional<VertexId> ProvenanceGraph::exist_at(TupleRef tuple,
                                                   LogicalTime at) const {
   LookupSample sample(counters_.lookups);
-  auto it = exist_index_.find(tuple);
-  if (it == exist_index_.end()) return std::nullopt;
-  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-    if (interval_of(*rit).contains(at)) return *rit;
+  const VertexId* latest = exist_index_.find(tuple);
+  if (latest == nullptr) return std::nullopt;
+  for (VertexId v = *latest; v != kNoVertex; v = link_[v]) {
+    if (interval_of(v).contains(at)) return v;
   }
   return std::nullopt;
 }
@@ -248,10 +260,10 @@ std::optional<VertexId> ProvenanceGraph::exist_at(const Tuple& tuple,
 std::optional<VertexId> ProvenanceGraph::latest_exist_before(
     TupleRef tuple, LogicalTime at) const {
   LookupSample sample(counters_.lookups);
-  auto it = exist_index_.find(tuple);
-  if (it == exist_index_.end()) return std::nullopt;
-  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-    if (time_[*rit] <= at) return *rit;
+  const VertexId* latest = exist_index_.find(tuple);
+  if (latest == nullptr) return std::nullopt;
+  for (VertexId v = *latest; v != kNoVertex; v = link_[v]) {
+    if (time_[v] <= at) return v;
   }
   return std::nullopt;
 }
@@ -267,8 +279,11 @@ std::optional<VertexId> ProvenanceGraph::latest_exist_before(
 }
 
 std::vector<VertexId> ProvenanceGraph::exists_of(TupleRef tuple) const {
-  auto it = exist_index_.find(tuple);
-  return it == exist_index_.end() ? std::vector<VertexId>{} : it->second;
+  std::vector<VertexId> out;
+  if (const VertexId* latest = exist_index_.find(tuple)) {
+    collect_chain(*latest, out);
+  }
+  return out;
 }
 
 std::vector<VertexId> ProvenanceGraph::exists_of(const Tuple& tuple) const {
@@ -280,9 +295,8 @@ const std::vector<TupleRef>& ProvenanceGraph::sorted_tuples() const {
   if (sorted_tuples_.size() != exist_index_.size()) {
     sorted_tuples_.clear();
     sorted_tuples_.reserve(exist_index_.size());
-    for (const auto& [ref, exists] : exist_index_) {
-      sorted_tuples_.push_back(ref);
-    }
+    exist_index_.for_each(
+        [this](TupleRef ref, VertexId) { sorted_tuples_.push_back(ref); });
     TupleStore& store = global_store();
     std::sort(sorted_tuples_.begin(), sorted_tuples_.end(),
               [&store](TupleRef a, TupleRef b) { return store.less(a, b); });
@@ -292,8 +306,11 @@ const std::vector<TupleRef>& ProvenanceGraph::sorted_tuples() const {
 
 std::vector<VertexId> ProvenanceGraph::derivations_triggered_by(
     VertexId exist) const {
-  auto it = trigger_index_.find(exist);
-  return it == trigger_index_.end() ? std::vector<VertexId>{} : it->second;
+  std::vector<VertexId> out;
+  if (const VertexId* latest = trigger_index_.find(exist)) {
+    collect_chain(*latest, out);
+  }
+  return out;
 }
 
 std::size_t ProvenanceGraph::resident_bytes() const {
@@ -304,21 +321,15 @@ std::size_t ProvenanceGraph::resident_bytes() const {
   const std::size_t per_vertex =
       sizeof(VertexKind) + sizeof(TupleRef) + sizeof(NameRef) +
       2 * sizeof(LogicalTime) + sizeof(std::int32_t) +
-      2 * sizeof(std::uint32_t);
+      2 * sizeof(std::uint32_t) + sizeof(VertexId);
   std::size_t bytes = kind_.size() * per_vertex +
-                      edges_.capacity() * sizeof(VertexId);
-  for (const auto& [id, extra] : extra_edges_) {
-    bytes += sizeof(id) + extra.capacity() * sizeof(VertexId) +
-             2 * sizeof(void*);
-  }
-  for (const auto& [ref, exists] : exist_index_) {
-    bytes += sizeof(ref) + exists.capacity() * sizeof(VertexId) +
-             2 * sizeof(void*);
-  }
-  for (const auto& [id, derives] : trigger_index_) {
-    bytes += sizeof(id) + derives.capacity() * sizeof(VertexId) +
-             2 * sizeof(void*);
-  }
+                      edges_.capacity() * sizeof(VertexId) +
+                      exist_index_.allocated_bytes() +
+                      trigger_index_.allocated_bytes() +
+                      extra_edges_.allocated_bytes();
+  extra_edges_.for_each([&bytes](VertexId, const std::vector<VertexId>& ids) {
+    bytes += ids.capacity() * sizeof(VertexId);
+  });
   bytes += sorted_tuples_.capacity() * sizeof(TupleRef);
   measured_vertices_ = kind_.size();
   measured_sorted_capacity_ = sorted_tuples_.capacity();

@@ -11,19 +11,22 @@
 // overflow table). Tuples themselves live once in the process-wide interned
 // store; a vertex carries a 32-bit TupleRef, so a tuple derived 10k times
 // costs 10k refs, not 10k copies. The exist-index is keyed by TupleRef
-// (O(1) hash on a 4-byte key) instead of the former std::map<Tuple,...>,
-// which both ordered-compared and *stored* a second copy of every tuple.
+// instead of the former std::map<Tuple,...>, which both ordered-compared and
+// *stored* a second copy of every tuple; it and the other id-keyed indexes
+// are flat open-addressing maps (util/flat_map.h), so a lookup is one probe
+// of a dense key array and dropping a graph frees a handful of arrays rather
+// than one heap node per entry.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "provenance/vertex.h"
 #include "store/store.h"
+#include "util/flat_map.h"
 
 namespace dp {
 
@@ -83,21 +86,21 @@ class ProvenanceGraph {
     return {time_[id], exist_end_[id]};
   }
   [[nodiscard]] std::size_t child_count(VertexId id) const {
-    const auto it = extra_edges_.find(id);
-    return edge_count_[id] + (it == extra_edges_.end() ? 0 : it->second.size());
+    const std::vector<VertexId>* extra = extra_edges_.find(id);
+    return edge_count_[id] + (extra == nullptr ? 0 : extra->size());
   }
   /// First child (causal order). Precondition: child_count(id) > 0.
   [[nodiscard]] VertexId first_child(VertexId id) const {
     return edge_count_[id] > 0 ? edges_[edge_begin_[id]]
-                               : extra_edges_.find(id)->second.front();
+                               : extra_edges_.find(id)->front();
   }
   /// Children in causal order: the CSR span, then post-creation appends.
   template <typename Visitor>
   void for_each_child(VertexId id, Visitor&& fn) const {
     const std::uint32_t begin = edge_begin_[id];
     for (std::uint32_t i = 0; i < edge_count_[id]; ++i) fn(edges_[begin + i]);
-    if (const auto it = extra_edges_.find(id); it != extra_edges_.end()) {
-      for (const VertexId child : it->second) fn(child);
+    if (const std::vector<VertexId>* extra = extra_edges_.find(id)) {
+      for (const VertexId child : *extra) fn(child);
     }
   }
   [[nodiscard]] std::vector<VertexId> children_of(VertexId id) const;
@@ -143,8 +146,10 @@ class ProvenanceGraph {
   /// template rather than std::function so tight visitors inline.
   template <typename Visitor>
   void for_each_tuple(Visitor&& fn) const {
+    std::vector<VertexId> exists;
     for (const TupleRef ref : sorted_tuples()) {
-      fn(global_store().resolve(ref), exist_index_.find(ref)->second);
+      collect_chain(*exist_index_.find(ref), exists);
+      fn(global_store().resolve(ref), exists);
     }
   }
 
@@ -164,7 +169,7 @@ class ProvenanceGraph {
   /// indexes). The interned tuples are shared process-wide and accounted in
   /// dp.store.bytes, not here. O(1) on a graph unchanged since the last
   /// call: every index grows only together with a new vertex, so the walk
-  /// over the node-based indexes reruns only when the vertex count or the
+  /// over the overflow edge lists reruns only when the vertex count or the
   /// lazily built sorted-key cache changed.
   [[nodiscard]] std::size_t resident_bytes() const;
 
@@ -191,6 +196,13 @@ class ProvenanceGraph {
     edges_.insert(edges_.end(), children.begin(), children.end());
   }
   [[nodiscard]] std::optional<VertexId> live_exist(TupleRef tuple) const;
+  /// Pushes `latest` onto the chain headed at `head` (via link_).
+  void chain_onto(VertexId& head, bool fresh, VertexId latest) {
+    link_[latest] = fresh ? kNoVertex : head;
+    head = latest;
+  }
+  /// The chain from `latest` back through link_, oldest first, into `out`.
+  void collect_chain(VertexId latest, std::vector<VertexId>& out) const;
   void close_exist(TupleRef tuple, LogicalTime t);
   [[nodiscard]] const std::vector<TupleRef>& sorted_tuples() const;
 
@@ -207,15 +219,20 @@ class ProvenanceGraph {
   std::vector<std::uint32_t> edge_count_;
   std::vector<VertexId> edges_;
   // Children attached after creation (APPEARs gaining additional support).
-  std::unordered_map<VertexId, std::vector<VertexId>> extra_edges_;
+  FlatMap32<std::vector<VertexId>> extra_edges_;
+  // Per-vertex chain link, threading the two one-to-many indexes below
+  // through the vertex columns instead of a heap vector per key: for an
+  // EXIST vertex, the previous EXIST of the same tuple; for a DERIVE, the
+  // previous DERIVE with the same trigger. kNoVertex ends a chain.
+  std::vector<VertexId> link_;
 
-  // All EXIST vertices per tuple, in chronological order.
-  std::unordered_map<TupleRef, std::vector<VertexId>> exist_index_;
+  // Per tuple, its latest EXIST vertex (earlier ones follow via link_).
+  FlatMap32<VertexId> exist_index_;
   // Structurally-sorted exist-index keys, rebuilt lazily when the key set
   // grew (for_each_tuple determinism).
   mutable std::vector<TupleRef> sorted_tuples_;
-  // trigger EXIST -> DERIVE vertices it triggered.
-  std::unordered_map<VertexId, std::vector<VertexId>> trigger_index_;
+  // trigger EXIST -> the latest DERIVE it triggered (earlier via link_).
+  FlatMap32<VertexId> trigger_index_;
   // resident_bytes() memo, keyed by (vertex count, sorted-key capacity).
   mutable std::size_t measured_vertices_ = SIZE_MAX;
   mutable std::size_t measured_sorted_capacity_ = 0;

@@ -44,9 +44,9 @@ ReplayResult begin_replay(const Program& program, const Topology& topology,
 
 void schedule_record(Engine& engine, const LogRecord& record) {
   if (record.op == LogRecord::Op::kInsert) {
-    engine.schedule_insert(record.tuple(), record.time);
+    engine.schedule_insert(record.tuple_ref, record.time);
   } else {
-    engine.schedule_delete(record.tuple(), record.time);
+    engine.schedule_delete(record.tuple_ref, record.time);
   }
 }
 

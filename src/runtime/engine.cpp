@@ -23,21 +23,17 @@ obs::Tracer& disabled_tracer() {
 /// functions' many early returns (RAII).
 class FiringScope {
  public:
-  FiringScope(bool want, const std::string& label, obs::Histogram* hist,
-              obs::QuantileSketch* sketch)
+  FiringScope(bool want, std::string_view label, obs::Histogram* hist)
       : span_(want ? obs::default_tracer() : disabled_tracer(), label,
               "rule") {
     if (span_.active()) {
       hist_ = hist;
-      sketch_ = sketch;
       start_us_ = obs::monotonic_micros();
     }
   }
   ~FiringScope() {
     if (hist_ != nullptr) {
-      const auto us = double(obs::monotonic_micros() - start_us_);
-      hist_->observe(us);
-      if (sketch_ != nullptr) sketch_->observe(us);
+      hist_->observe(double(obs::monotonic_micros() - start_us_));
     }
   }
   FiringScope(const FiringScope&) = delete;
@@ -46,7 +42,6 @@ class FiringScope {
  private:
   obs::Span span_;
   obs::Histogram* hist_ = nullptr;
-  obs::QuantileSketch* sketch_ = nullptr;
   std::uint64_t start_us_ = 0;
 };
 
@@ -69,14 +64,32 @@ Engine::Engine(Program program, EngineConfig config)
   rule_firings_.assign(rules.size(), 0);
   rule_firings_published_.assign(rules.size(), 0);
   rule_span_labels_.reserve(rules.size());
+  rule_names_.reserve(rules.size());
   rule_metric_names_.reserve(rules.size());
+  tracks_support_.reserve(rules.size());
   for (const Rule& rule : rules) {
-    rule_span_labels_.push_back("rule:" + rule.name);
+    rule_span_labels_.push_back(resolve_name(intern_name("rule:" + rule.name)));
+    rule_names_.push_back(intern_name(rule.name));
     rule_metric_names_.push_back("dp.runtime.rule_firings." +
                                  obs::sanitize_metric_segment(rule.name));
+    // Derivations triggered by an event tuple are one-shot: the event is
+    // gone the instant after, so the head is a fact about something that
+    // happened (e.g. "this packet was delivered") and is not subject to
+    // incremental view maintenance. Only derivations whose entire body is
+    // materialized state participate in support counting. (An aggregate's
+    // previous value, chained into its body, is a materialized row.)
+    bool tracks = !program_.table(rule.head.table).is_event();
+    for (const BodyAtom& atom : rule.body) {
+      if (program_.table(atom.table).is_event()) tracks = false;
+    }
+    tracks_support_.push_back(tracks);
   }
   fire_hist_ = &metrics_->histogram("dp.runtime.rule_fire_us");
-  fire_sketch_ = &metrics_->sketch("dp.runtime.rule_fire_us");
+}
+
+TupleRef Engine::ref_of(const RefTuple& row) {
+  if (row.ref == kNoTupleRef) row.ref = intern_tuple(row.tuple);
+  return row.ref;
 }
 
 void Engine::add_link(const NodeName& a, const NodeName& b,
@@ -153,7 +166,17 @@ void Engine::push_external_event(Event event) {
 }
 
 void Engine::enqueue(Event event) {
-  queue_.push_back(std::move(event));
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(event));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(event);
+  }
+  const Event& queued = slab_[slot];
+  queue_.push_back(QueueKey{queued.time, queued.seq, slot});
   std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
   if (queue_.size() > queue_depth_max_) queue_depth_max_ = queue_.size();
 }
@@ -161,12 +184,14 @@ void Engine::enqueue(Event event) {
 Engine::Event Engine::pop_event() {
   assert(!queue_.empty());
   std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
-  Event event = std::move(queue_.back());
+  const std::uint32_t slot = queue_.back().slot;
   queue_.pop_back();
+  Event event = std::move(slab_[slot]);
+  free_slots_.push_back(slot);
   return event;
 }
 
-void Engine::schedule_insert(Tuple tuple, LogicalTime at) {
+Engine::Event Engine::base_insert_event(Tuple tuple, LogicalTime at) const {
   const TableDecl& decl = program_.table(tuple.table());
   if (decl.kind != TupleKind::kBase) {
     throw ProgramError("external insert into derived table " + tuple.table());
@@ -181,11 +206,11 @@ void Engine::schedule_insert(Tuple tuple, LogicalTime at) {
   Event event;
   event.time = at;
   event.kind = Event::Kind::kBaseInsert;
-  event.tuple = std::move(tuple);
-  push_external_event(std::move(event));
+  event.head.tuple = std::move(tuple);
+  return event;
 }
 
-void Engine::schedule_delete(Tuple tuple, LogicalTime at) {
+Engine::Event Engine::base_delete_event(Tuple tuple, LogicalTime at) const {
   const TableDecl& decl = program_.table(tuple.table());
   if (decl.kind != TupleKind::kBase) {
     throw ProgramError("external delete from derived table " + tuple.table());
@@ -197,26 +222,50 @@ void Engine::schedule_delete(Tuple tuple, LogicalTime at) {
   Event event;
   event.time = at;
   event.kind = Event::Kind::kBaseDelete;
-  event.tuple = std::move(tuple);
+  event.head.tuple = std::move(tuple);
+  return event;
+}
+
+void Engine::schedule_insert(Tuple tuple, LogicalTime at) {
+  push_external_event(base_insert_event(std::move(tuple), at));
+}
+
+void Engine::schedule_insert(TupleRef tuple, LogicalTime at) {
+  Event event = base_insert_event(global_store().copy_out(tuple), at);
+  event.head.ref = tuple;
+  push_external_event(std::move(event));
+}
+
+void Engine::schedule_delete(Tuple tuple, LogicalTime at) {
+  push_external_event(base_delete_event(std::move(tuple), at));
+}
+
+void Engine::schedule_delete(TupleRef tuple, LogicalTime at) {
+  Event event = base_delete_event(global_store().copy_out(tuple), at);
+  event.head.ref = tuple;
   push_external_event(std::move(event));
 }
 
 void Engine::run() {
   DP_SPAN_CAT("dp.runtime.run", "runtime");
-  while (!queue_.empty()) process(pop_event());
+  while (!queue_.empty()) {
+    Event event = pop_event();
+    process(event);
+  }
   publish_metrics();
 }
 
 void Engine::run_until(LogicalTime until) {
   DP_SPAN_CAT("dp.runtime.run_until", "runtime");
   while (!queue_.empty() && queue_.front().time <= until) {
-    process(pop_event());
+    Event event = pop_event();
+    process(event);
   }
   now_ = std::max(now_, until);
   publish_metrics();
 }
 
-void Engine::process(const Event& event) {
+void Engine::process(Event& event) {
   assert(event.time >= now_);
   now_ = event.time;
   ++stats_.events_processed;
@@ -236,66 +285,76 @@ void Engine::process(const Event& event) {
       process_aggregate(event);
       break;
     case Event::Kind::kBaseDelete:
-      process_delete(event.tuple, event.time);
+      process_delete(event);
       break;
   }
 }
 
-void Engine::process_aggregate(const Event& event) {
-  const Rule* rule = program_.find_rule(event.rule);
-  if (rule == nullptr || !rule->agg) return;  // defensive: validated upstream
+void Engine::process_aggregate(Event& event) {
+  const Rule& rule = program_.rules()[event.rule];
+  if (!rule.agg) return;  // defensive: validated upstream
+  const Tuple& placeholder = event.head.tuple;
   // Resolve the aggregate column (the head argument that is the agg var).
-  std::size_t agg_index = event.tuple.arity();
-  for (std::size_t i = 0; i < rule->head.args.size(); ++i) {
-    if (rule->head.args[i]->kind == Expr::Kind::kVar &&
-        rule->head.args[i]->var == rule->agg->var) {
+  std::size_t agg_index = placeholder.arity();
+  for (std::size_t i = 0; i < rule.head.args.size(); ++i) {
+    if (rule.head.args[i]->kind == Expr::Kind::kVar &&
+        rule.head.args[i]->var == rule.agg->var) {
       agg_index = i;
       break;
     }
   }
-  if (agg_index == event.tuple.arity()) return;
+  if (agg_index == placeholder.arity()) return;
 
-  Table& table = table_for(event.tuple);
-  const Tuple* previous = table.live_by_key(table.key_of(event.tuple));
+  Table& table = table_for(placeholder);
+  const RefTuple* previous = table.live_by_key(table.key_of(placeholder));
   const std::int64_t old_value =
-      previous != nullptr && previous->at(agg_index).is_int()
-          ? previous->at(agg_index).as_int()
+      previous != nullptr && previous->tuple.at(agg_index).is_int()
+          ? previous->tuple.at(agg_index).as_int()
           : 0;
 
-  Event resolved;
-  resolved.time = event.time;
-  resolved.kind = Event::Kind::kDerivedInsert;
-  resolved.rule = event.rule;
-  resolved.trigger_index = event.trigger_index;
-  resolved.body = event.body;
   // The previous aggregate value joins the provenance as the tail of the
-  // contribution chain.
-  if (previous != nullptr) resolved.body.push_back(*previous);
-  resolved.tuple =
-      event.tuple.with_field(agg_index, Value(old_value + event.agg_delta));
-  process_insert(resolved);
+  // contribution chain. Its ref is read before process_insert displaces it.
+  if (previous != nullptr && wants_refs(event.rule)) {
+    event.body.push_back(ref_of(*previous));
+  }
+  event.kind = Event::Kind::kDerivedInsert;
+  event.head.tuple = placeholder.with_field(agg_index,
+                                            Value(old_value + event.agg_delta));
+  if (wants_refs(event.rule)) event.head.ref = intern_tuple(event.head.tuple);
+  process_insert(event);
 }
 
-void Engine::process_insert(const Event& event) {
-  const Tuple& tuple = event.tuple;
-  const TableDecl& decl = program_.table(tuple.table());
+void Engine::process_insert(Event& event) {
+  const TableDecl& decl = program_.table(event.head.tuple.table());
   const bool is_base = event.kind == Event::Kind::kBaseInsert;
   const bool is_event = decl.is_event();
-
   const bool notify = !observers_.empty();
+  // The head's ref: carried by the event when the log or the firing had it;
+  // a base tuple scheduled by value is interned here, once, if observers
+  // will read it.
+  if (is_base && notify && event.head.ref == kNoTupleRef) {
+    event.head.ref = intern_tuple(event.head.tuple);
+  }
+  const TupleRef ref = event.head.ref;
+
+  // The tuple the firings below join: the live row it becomes (moved out of
+  // the event), or the event itself for a non-materialized event table.
+  const RefTuple* arrival = &event.head;
   bool newly_appeared = true;
   if (!is_event) {
-    Table& table = table_for(tuple);
-    const Table::InsertResult result = table.insert(tuple, event.time);
+    Table& table = table_for(event.head.tuple);
+    Table::InsertResult result = table.insert(std::move(event.head), event.time);
     if (result.displaced) {
       // Key upsert displaced a live row: observers see its disappearance
       // first, and its dependents are underived at the same timestamp. The
       // displaced row may legitimately be absent from the store (recorded
       // with no observers attached); then nothing can reference it either.
       ++stats_.base_deletes;
-      const TupleRef displaced_ref =
-          notify ? intern_tuple(*result.displaced)
-                 : global_store().find(*result.displaced);
+      TupleRef displaced_ref = result.displaced_ref;
+      if (displaced_ref == kNoTupleRef) {
+        displaced_ref = notify ? intern_tuple(*result.displaced)
+                               : global_store().find(*result.displaced);
+      }
       for (RuntimeObserver* obs : observers_) {
         obs->on_base_delete(displaced_ref, event.time);
       }
@@ -304,121 +363,105 @@ void Engine::process_insert(const Event& event) {
       }
     }
     newly_appeared = result.inserted;
+    // Identical tuple already live: the event keeps its head (unmoved).
+    if (result.row != nullptr) arrival = result.row;
   }
 
-  // Notify observers and maintain support bookkeeping. Tuples are interned
-  // once here; every observer (recorder, event log, metrics) and the support
-  // maps share the resulting refs.
+  // Notify observers and maintain support bookkeeping. Every observer
+  // (recorder, event log, metrics) and the support maps share the refs the
+  // event carries.
   if (is_base) {
     ++stats_.base_inserts;
-    if (notify) {
-      const TupleRef ref = intern_tuple(tuple);
-      for (RuntimeObserver* obs : observers_) {
-        obs->on_base_insert(ref, event.time, is_event);
-      }
+    for (RuntimeObserver* obs : observers_) {
+      obs->on_base_insert(ref, event.time, is_event);
     }
   } else {
     ++stats_.derivations;
-    // Derivations triggered by an event tuple are one-shot: the event is
-    // gone the instant after, so the head is a fact about something that
-    // happened (e.g. "this packet was delivered") and is not subject to
-    // incremental view maintenance. Only derivations whose entire body is
-    // materialized state participate in support counting.
-    bool event_triggered = false;
-    for (const Tuple& b : event.body) {
-      if (program_.table(b.table()).is_event()) {
-        event_triggered = true;
-        break;
-      }
+    const NameRef rule_ref = rule_names_[event.rule];
+    for (RuntimeObserver* obs : observers_) {
+      obs->on_derive(ref, rule_ref, event.body, event.trigger_index,
+                     event.time, is_event);
     }
-    const bool track_support = !is_event && !event_triggered;
-    if (notify || track_support) {
-      const TupleRef head_ref = intern_tuple(tuple);
-      const NameRef rule_ref = intern_name(event.rule);
-      body_refs_scratch_.clear();
-      body_refs_scratch_.reserve(event.body.size());
-      for (const Tuple& b : event.body) {
-        body_refs_scratch_.push_back(intern_tuple(b));
+    if (tracks_support_[event.rule]) {
+      const auto record_id = static_cast<RecordId>(records_.size());
+      records_.push_back(DerivRecord{ref, rule_ref, true});
+      records_by_head_[ref].push_back(record_id);
+      for (const TupleRef b : event.body) {
+        records_by_body_[b].push_back(record_id);
       }
-      for (RuntimeObserver* obs : observers_) {
-        obs->on_derive(head_ref, rule_ref, body_refs_scratch_,
-                       event.trigger_index, event.time, is_event);
-      }
-      if (track_support) {
-        const std::size_t record_id = records_.size();
-        records_.push_back(DerivRecord{head_ref, rule_ref, true});
-        records_by_head_[head_ref].push_back(record_id);
-        for (const TupleRef b : body_refs_scratch_) {
-          records_by_body_[b].push_back(record_id);
-        }
-        ++support_[head_ref];
-      }
+      ++support_[ref];
     }
   }
 
   if (!newly_appeared && !is_event) return;  // no new appearance: no firing
 
+  const std::string& table_name = arrival->tuple.table();
   // Delta evaluation: the new tuple may trigger any rule with a body atom
   // over its table. Plans fire in (rule, atom) order -- the exact order of
   // the reference evaluator's nested loop below.
   if (config_.use_join_plans) {
-    if (auto it = plans_.find(tuple.table()); it != plans_.end()) {
+    if (auto it = plans_.find(table_name); it != plans_.end()) {
       for (const RulePlan& plan : it->second) {
-        fire_rule_planned(plan, tuple, event.time);
+        fire_rule_planned(plan, *arrival, event.time);
       }
     }
     return;
   }
-  for (std::size_t rule_index : listeners_.at(tuple.table())) {
+  for (std::size_t rule_index : listeners_.at(table_name)) {
     const Rule& rule = program_.rules()[rule_index];
     for (std::size_t i = 0; i < rule.body.size(); ++i) {
-      if (rule.body[i].table == tuple.table()) {
-        fire_rule(rule, i, tuple, event.time);
+      if (rule.body[i].table == table_name) {
+        fire_rule(rule, i, *arrival, event.time);
       }
     }
   }
 }
 
-void Engine::process_delete(const Tuple& tuple, LogicalTime t) {
+void Engine::process_delete(const Event& event) {
+  const Tuple& tuple = event.head.tuple;
   Table& table = table_for(tuple);
-  if (!table.remove(tuple, t)) {
+  if (!table.remove(tuple, event.time)) {
     DP_WARN << "external delete of non-live tuple " << tuple.to_string();
     return;
   }
   ++stats_.base_deletes;
-  const TupleRef ref = observers_.empty() ? global_store().find(tuple)
-                                          : intern_tuple(tuple);
+  TupleRef ref = event.head.ref;
+  if (ref == kNoTupleRef) {
+    ref = observers_.empty() ? global_store().find(tuple) : intern_tuple(tuple);
+  }
   for (RuntimeObserver* obs : observers_) {
-    obs->on_base_delete(ref, t);
+    obs->on_base_delete(ref, event.time);
   }
   // Absent from the store means nothing was ever recorded against it, so no
   // derivation record can reference it either.
-  if (ref != kNoTupleRef) retract_dependents_of(ref, t);
+  if (ref != kNoTupleRef) retract_dependents_of(ref, event.time);
 }
 
 void Engine::retract_dependents_of(TupleRef tuple, LogicalTime t) {
   // Deactivate this tuple's own derivation records (it is gone). Its support
   // entry is erased outright -- leaving a zero behind would grow the map by
   // one dead entry per underived tuple for the lifetime of the engine.
-  if (auto it = records_by_head_.find(tuple); it != records_by_head_.end()) {
-    for (std::size_t id : it->second) records_[id].active = false;
+  if (const auto* own = records_by_head_.find(tuple)) {
+    for (const RecordId id : *own) records_[id].active = false;
     support_.erase(tuple);
   }
   // Derivations that consumed the tuple lose one unit of support.
-  auto it = records_by_body_.find(tuple);
-  if (it == records_by_body_.end()) return;
+  const auto* consumers = records_by_body_.find(tuple);
+  if (consumers == nullptr) return;
   // Copy: retraction can recurse and grow/invalidate the map.
-  const std::vector<std::size_t> record_ids = it->second;
-  for (std::size_t id : record_ids) {
+  const std::vector<RecordId> record_ids = *consumers;
+  for (const RecordId id : record_ids) {
     DerivRecord& record = records_[id];
     if (!record.active) continue;
     record.active = false;
-    auto support_it = support_.find(record.head);
-    if (support_it == support_.end() || support_it->second <= 0) continue;
-    if (--support_it->second > 0) continue;
-    support_.erase(support_it);
-    // Support exhausted: underive the head now (same timestamp).
-    const Tuple& head = resolve_tuple(record.head);
+    std::int64_t* support = support_.find(record.head);
+    if (support == nullptr || *support <= 0) continue;
+    if (--*support > 0) continue;
+    support_.erase(record.head);
+    // Support exhausted: underive the head now (same timestamp). The head is
+    // copied out of the store's columns rather than resolved, so retraction
+    // never grows the canonical-tuple cache.
+    const Tuple head = global_store().copy_out(record.head);
     Table& head_table = table_for(head);
     if (!head_table.remove(head, t)) continue;
     ++stats_.underivations;
@@ -445,12 +488,12 @@ bool Engine::unify(const BodyAtom& atom, const Tuple& tuple,
 }
 
 void Engine::fire_rule(const Rule& rule, std::size_t atom_index,
-                       const Tuple& arrival, LogicalTime t) {
+                       const RefTuple& arrival_row, LogicalTime t) {
   const std::size_t rule_index =
       static_cast<std::size_t>(&rule - program_.rules().data());
   FiringScope firing_scope(config_.trace_rule_firings,
-                           rule_span_labels_[rule_index], fire_hist_,
-                           fire_sketch_);
+                           rule_span_labels_[rule_index], fire_hist_);
+  const Tuple& arrival = arrival_row.tuple;
   const NodeName& node = arrival.location();
 
   // Depth-first join over the remaining body atoms, in body order.
@@ -602,32 +645,36 @@ void Engine::fire_rule(const Rule& rule, std::size_t atom_index,
               ? 1
               : bindings.at(rule.agg->sum_var).as_int();
     }
-    event.rule = rule.name;
-    event.trigger_index = atom_index;
-    event.body.reserve(rule.body.size());
-    for (std::size_t i = 0; i < rule.body.size(); ++i) {
-      if (i == atom_index) {
-        event.body.push_back(arrival);
-        continue;
+    event.rule = static_cast<std::uint32_t>(rule_index);
+    event.trigger_index = static_cast<std::uint32_t>(atom_index);
+    if (wants_refs(rule_index)) {
+      event.body.reserve(rule.body.size());
+      for (std::size_t i = 0; i < rule.body.size(); ++i) {
+        if (i == atom_index) {
+          event.body.push_back(ref_of(arrival_row));
+          continue;
+        }
+        std::vector<Value> values;
+        values.reserve(rule.body[i].args.size());
+        for (const AtomArg& arg : rule.body[i].args) {
+          values.push_back(arg.is_var ? bindings.at(arg.var) : arg.constant);
+        }
+        event.body.push_back(
+            intern_tuple(Tuple(rule.body[i].table, std::move(values))));
       }
-      std::vector<Value> values;
-      values.reserve(rule.body[i].args.size());
-      for (const AtomArg& arg : rule.body[i].args) {
-        values.push_back(arg.is_var ? bindings.at(arg.var) : arg.constant);
-      }
-      event.body.emplace_back(rule.body[i].table, std::move(values));
+      if (!rule.agg) event.head.ref = intern_tuple(head);
     }
-    event.tuple = std::move(head);
+    event.head.tuple = std::move(head);
     push_event(std::move(event));
   }
 }
 
-void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
-                               LogicalTime t) {
+void Engine::fire_rule_planned(const RulePlan& plan,
+                               const RefTuple& arrival_row, LogicalTime t) {
   const Rule& rule = program_.rules()[plan.rule_index];
   FiringScope firing_scope(config_.trace_rule_firings,
-                           rule_span_labels_[plan.rule_index], fire_hist_,
-                           fire_sketch_);
+                           rule_span_labels_[plan.rule_index], fire_hist_);
+  const Tuple& arrival = arrival_row.tuple;
   const NodeName& node = arrival.location();
 
   // Unify the arriving tuple against the trigger atom.
@@ -653,11 +700,11 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
   // register file and the chosen row per original body atom.
   struct PlanMatch {
     Regs regs;
-    std::vector<const Tuple*> chosen;
+    std::vector<const RefTuple*> chosen;
   };
   std::vector<PlanMatch> matches;
-  std::vector<const Tuple*> chosen(rule.body.size(), nullptr);
-  chosen[plan.trigger_atom] = &arrival;
+  std::vector<const RefTuple*> chosen(rule.body.size(), nullptr);
+  chosen[plan.trigger_atom] = &arrival_row;
 
   auto descend = [&](auto&& self, std::size_t depth) -> void {
     if (depth == plan.steps.size()) {
@@ -667,8 +714,9 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
     const JoinStep& step = plan.steps[depth];
     const Table* table = find_table(node, step.table);
     if (table == nullptr) return;
-    const auto try_candidate = [&](const Tuple& candidate,
+    const auto try_candidate = [&](const RefTuple& row,
                                    const std::vector<ColOp>& ops) {
+      const Tuple& candidate = row.tuple;
       ++stats_.tuples_scanned;
       for (const ColOp& op : ops) {
         const Value& v = candidate.at(op.col);
@@ -685,13 +733,13 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
         }
       }
       ++stats_.tuples_matched;
-      chosen[step.body_index] = &candidate;
+      chosen[step.body_index] = &row;
       self(self, depth + 1);
     };
     if (step.probe_cols.empty()) {
       // Nothing bound: full scan (rare -- a cross join).
-      table->for_each_live(
-          [&](const Tuple& candidate) { try_candidate(candidate, step.ops); });
+      table->for_each_live_row(
+          [&](const RefTuple& row) { try_candidate(row, step.ops); });
       return;
     }
     // Indexed probe: build the key from constants and bound registers, then
@@ -704,10 +752,10 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
                                                          : regs[op.slot]);
     }
     ++stats_.index_probes;
-    table->for_each_live_matching(step.probe_cols, probe_key,
-                                  [&](const Tuple& candidate) {
-                                    try_candidate(candidate, step.residual);
-                                  });
+    table->for_each_live_row_matching(step.probe_cols, probe_key,
+                                      [&](const RefTuple& row) {
+                                        try_candidate(row, step.residual);
+                                      });
   };
   descend(descend, 0);
   if (matches.empty()) return;
@@ -728,7 +776,7 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
       std::vector<Value>& key = sort_keys[m];
       for (std::size_t i = 0; i < rule.body.size(); ++i) {
         if (i == plan.trigger_atom) continue;
-        const Tuple& row = *matches[m].chosen[i];
+        const Tuple& row = matches[m].chosen[i]->tuple;
         const ColumnSet& cols = plan.body_key_cols[i];
         if (cols.empty()) {
           key.insert(key.end(), row.values().begin(), row.values().end());
@@ -835,13 +883,17 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
                             ? 1
                             : match.regs[*plan.agg_sum_slot].as_int();
     }
-    event.rule = rule.name;
-    event.trigger_index = plan.trigger_atom;
-    event.body.reserve(rule.body.size());
-    for (std::size_t i = 0; i < rule.body.size(); ++i) {
-      event.body.push_back(*match.chosen[i]);
+    event.rule = static_cast<std::uint32_t>(plan.rule_index);
+    event.trigger_index = static_cast<std::uint32_t>(plan.trigger_atom);
+    // The provenance body is the chosen rows' refs, which the rows already
+    // hold; the head is interned once, here. Neither is needed (nor
+    // interned) when nothing will read them.
+    if (wants_refs(plan.rule_index)) {
+      event.body.reserve(rule.body.size());
+      for (const RefTuple* row : match.chosen) event.body.push_back(ref_of(*row));
+      if (!rule.agg) event.head.ref = intern_tuple(head);
     }
-    event.tuple = std::move(head);
+    event.head.tuple = std::move(head);
     push_event(std::move(event));
   }
 }

@@ -28,7 +28,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "ndlog/eval.h"
@@ -37,6 +37,7 @@
 #include "obs/obs.h"
 #include "runtime/observer.h"
 #include "runtime/plan.h"
+#include "util/flat_map.h"
 #include "util/time.h"
 
 namespace dp {
@@ -85,16 +86,22 @@ class Engine {
   void add_link(const NodeName& a, const NodeName& b, LogicalTime delay);
 
   /// Observers see base inserts/deletes, derivations and underivations in
-  /// deterministic order. Not owned; must outlive the engine.
+  /// deterministic order. Not owned; must outlive the engine. Attach them
+  /// before the first run: a firing collects the body refs observers need
+  /// when it is emitted, not when it is processed.
   void add_observer(RuntimeObserver* observer);
 
   /// Schedules an external base tuple insertion at logical time `at`
   /// (>= now). Throws ProgramError if the table is unknown/not base or the
   /// tuple is malformed.
   void schedule_insert(Tuple tuple, LogicalTime at);
+  /// Same for an interned tuple (a replayed log record): the event carries
+  /// the ref, so the tuple is never interned again.
+  void schedule_insert(TupleRef tuple, LogicalTime at);
 
   /// Schedules an external base tuple deletion.
   void schedule_delete(Tuple tuple, LogicalTime at);
+  void schedule_delete(TupleRef tuple, LogicalTime at);
 
   /// Processes events until the queue is empty (quiescence).
   void run();
@@ -163,6 +170,12 @@ class Engine {
   }
 
  private:
+  // A queued event. The tuple travels with its interned ref: a base event
+  // scheduled from a log carries the log's ref; a firing interns its head
+  // once when it emits it (if anything will read the ref) and hands over the
+  // refs of the rows it matched, which the rows already hold. Aggregate
+  // placeholder heads are never interned -- their value is resolved, and the
+  // real head interned, in process_aggregate.
   struct Event {
     LogicalTime time = 0;
     std::uint64_t seq = 0;
@@ -172,14 +185,23 @@ class Engine {
       kDerivedInsert,
       kAggregate,  // head carries a placeholder at the aggregate column
     } kind = Kind::kBaseInsert;
-    Tuple tuple;
-    // For kDerivedInsert/kAggregate: provenance of the firing.
-    std::string rule;
-    std::vector<Tuple> body;
-    std::size_t trigger_index = 0;
+    // For kDerivedInsert/kAggregate: provenance of the firing -- the rule
+    // ordinal (into Program::rules()), the trigger's body position and the
+    // body rows' refs in rule body order.
+    std::uint32_t rule = 0;
+    std::uint32_t trigger_index = 0;
     std::int64_t agg_delta = 0;  // kAggregate: the contribution
+    RefTuple head;
+    std::vector<TupleRef> body;
+  };
 
-    bool operator>(const Event& other) const {
+  // A queued event's heap entry: its ordering key and its slot in slab_.
+  struct QueueKey {
+    LogicalTime time = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+
+    bool operator>(const QueueKey& other) const {
       if (time != other.time) return time > other.time;
       return seq > other.seq;
     }
@@ -188,6 +210,7 @@ class Engine {
   // One unit of support for a derived head. The head and rule are interned
   // refs (the record's body registers in records_by_body_ and is not needed
   // afterwards), so a record is 12 bytes however wide the tuples are.
+  using RecordId = std::uint32_t;
   struct DerivRecord {
     TupleRef head = kNoTupleRef;
     NameRef rule = kNoName;
@@ -208,6 +231,9 @@ class Engine {
   // replay of the same event prefix.
   static constexpr std::uint64_t kInternalSeqBand = 1ull << 48;
 
+  /// Validated external base events (ProgramError on a malformed tuple).
+  Event base_insert_event(Tuple tuple, LogicalTime at) const;
+  Event base_delete_event(Tuple tuple, LogicalTime at) const;
   /// Enqueues an engine-generated event (internal seq band).
   void push_event(Event event);
   /// Enqueues an externally scheduled base event (low seq band).
@@ -216,15 +242,15 @@ class Engine {
   /// Moves the front (earliest) event out of the queue. Precondition: the
   /// queue is non-empty.
   Event pop_event();
-  void process(const Event& event);
-  void process_insert(const Event& event);
-  void process_delete(const Tuple& tuple, LogicalTime t);
+  void process(Event& event);
+  void process_insert(Event& event);
+  void process_delete(const Event& event);
 
   /// Resolves an aggregate firing: reads the group's previous value, builds
   /// the new head tuple, chains the previous aggregate into the provenance
   /// body, and hands over to process_insert. Serialized through the event
   /// queue, so concurrent contributions never lose updates.
-  void process_aggregate(const Event& event);
+  void process_aggregate(Event& event);
 
   /// Cascades support-count maintenance after `tuple` disappeared:
   /// derivations that consumed it are deactivated and heads whose support
@@ -235,15 +261,24 @@ class Engine {
   /// `atom_index` of `rule`) against node-local state by scanning each
   /// remaining table, and fires the rule for every satisfying binding.
   void fire_rule(const Rule& rule, std::size_t atom_index,
-                 const Tuple& arrival, LogicalTime t);
+                 const RefTuple& arrival, LogicalTime t);
 
   /// Plan evaluator: same semantics as fire_rule, but joins through the
   /// compiled plan -- indexed probes, flat registers, reordered atoms --
   /// then restores the reference candidate order, evaluates assigns,
   /// constraints, argmax and the head, and schedules each firing, so both
   /// evaluators schedule identical event sequences.
-  void fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
+  void fire_rule_planned(const RulePlan& plan, const RefTuple& arrival,
                          LogicalTime t);
+
+  /// True if a firing of rule `rule_index` must hand its head and body refs
+  /// on: observers are attached, or the derivation takes part in support
+  /// counting.
+  [[nodiscard]] bool wants_refs(std::size_t rule_index) const {
+    return !observers_.empty() || tracks_support_[rule_index];
+  }
+  /// The ref of a row, interned on first need and remembered on the row.
+  static TupleRef ref_of(const RefTuple& row);
 
   /// Attempts to unify `tuple` with `atom` under `bindings`; returns false
   /// on mismatch, otherwise extends `bindings`.
@@ -268,24 +303,27 @@ class Engine {
   std::map<std::string, std::vector<RulePlan>> plans_;
   std::map<NodeName, std::map<std::string, Table>> state_;
   std::map<std::pair<NodeName, NodeName>, LogicalTime> links_;
-  // Min-heap on (time, seq) via std::push_heap/std::pop_heap. A raw vector
-  // (rather than std::priority_queue) lets pop_event() move the element out
-  // instead of copying the tuple and provenance body on every event.
-  std::vector<Event> queue_;
+  // Min-heap on (time, seq) via std::push_heap/std::pop_heap over small
+  // keys; the events themselves sit still in slab_ (free slots recycled), so
+  // a heap sift moves 24-byte keys rather than tuples and bodies, and an
+  // event is moved exactly twice: into its slot and out of it.
+  std::vector<QueueKey> queue_;
+  std::vector<Event> slab_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;           // internal band (derivations)
   std::uint64_t next_external_seq_ = 0;  // external band (scheduled bases)
   LogicalTime now_ = 0;
   std::vector<RuntimeObserver*> observers_;
 
   std::vector<DerivRecord> records_;
-  // Support bookkeeping keyed by interned refs: O(1) hashes of a 4-byte key
-  // instead of ordered full-tuple comparisons, and no second tuple copy.
-  std::unordered_map<TupleRef, std::vector<std::size_t>> records_by_body_;
-  std::unordered_map<TupleRef, std::vector<std::size_t>> records_by_head_;
-  std::unordered_map<TupleRef, std::int64_t> support_;
-  // Scratch for the per-derivation body refs handed to observers (reused so
-  // the notify path does not allocate per firing).
-  std::vector<TupleRef> body_refs_scratch_;
+  // Support bookkeeping keyed by interned refs in flat maps: one probe of a
+  // dense 4-byte key array, no per-entry heap node, and no tuple copy.
+  FlatMap32<std::vector<RecordId>> records_by_body_;
+  FlatMap32<std::vector<RecordId>> records_by_head_;
+  FlatMap32<std::int64_t> support_;
+  // Per rule: whether its derivations take part in support counting (the
+  // head is materialized and no body atom is an event table).
+  std::vector<bool> tracks_support_;
   // fire_rule_planned's surviving-match indexes (reused per firing).
   std::vector<std::size_t> satisfying_scratch_;
 
@@ -299,19 +337,18 @@ class Engine {
   std::map<NodeName, std::uint64_t> remote_by_node_;
   std::map<NodeName, std::uint64_t> remote_by_node_published_;
   // Precomputed per-rule labels so the firing hot path never concatenates:
-  // span names "rule:<name>" and metric names
-  // "dp.runtime.rule_firings.<name>".
-  std::vector<std::string> rule_span_labels_;
+  // span names "rule:<name>", rule-name refs for observers, and metric names
+  // "dp.runtime.rule_firings.<name>". The span labels view strings interned
+  // in the process-wide name pool, which is never freed: the scope profiler
+  // may still copy a label after this engine is gone.
+  std::vector<std::string_view> rule_span_labels_;
+  std::vector<NameRef> rule_names_;
   std::vector<std::string> rule_metric_names_;
   std::size_t queue_depth_max_ = 0;
 
   obs::MetricsRegistry* metrics_ = nullptr;    // publish target (never null)
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;  // when config.metrics==null
   obs::Histogram* fire_hist_ = nullptr;  // dp.runtime.rule_fire_us, cached
-  // Quantile-sketch twin of fire_hist_ (same series name; exported as the
-  // _p50/_p95/_p99/_p999 gauges). Observed under the same traced-firing gate,
-  // so the untraced hot path stays branch-free.
-  obs::QuantileSketch* fire_sketch_ = nullptr;
 };
 
 }  // namespace dp

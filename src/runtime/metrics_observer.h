@@ -10,12 +10,12 @@
 
 #include <array>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "runtime/observer.h"
 #include "store/store.h"
+#include "util/flat_map.h"
 
 namespace dp {
 
@@ -46,8 +46,8 @@ class MetricsObserver final : public RuntimeObserver {
   enum Action { kInserts, kDeletes, kDerives, kUnderives };
 
   // Counter lookups take the registry mutex; cache the resolved pointers,
-  // keyed by the interned table id (a 4-byte hash, no string compare), so
-  // steady-state cost is one map find + one relaxed add.
+  // keyed by the interned table id in a flat map (no string compare, no
+  // node chase), so steady-state cost is one probe + one relaxed add.
   obs::Counter& cell(TupleRef tuple, Action action) {
     static constexpr const char* kActionName[] = {"inserts", "deletes",
                                                   "derives", "underives"};
@@ -63,7 +63,7 @@ class MetricsObserver final : public RuntimeObserver {
   }
 
   obs::MetricsRegistry& registry_;
-  std::unordered_map<NameRef, std::array<obs::Counter*, 4>> cache_;
+  FlatMap32<std::array<obs::Counter*, 4>> cache_;
 };
 
 }  // namespace dp

@@ -23,7 +23,7 @@ DiagnoseOutcome diagnose_problem(const Problem& problem,
   DiagnoseOutcome outcome;
 
   // One provider serves the initial replay and DiffProv's UpdateTree
-  // replays, so the log is copied once.
+  // replays; it borrows the problem's log rather than copying it.
   LogReplayProvider provider(problem.program, problem.topology, problem.log,
                              replay_options);
 

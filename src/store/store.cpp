@@ -3,9 +3,18 @@
 #include <cassert>
 #include <mutex>
 
+#include "util/hash.h"
+
 namespace dp {
 
 namespace {
+
+/// Bucket key of a 64-bit hash: its folded low word, off the empty-slot
+/// marker. Chains check full equality, so folding only merges chains.
+std::uint32_t fold_hash(std::uint64_t hash) {
+  const auto folded = static_cast<std::uint32_t>(hash ^ (hash >> 32));
+  return folded == FlatMap32<ValueRef>::kEmptyKey ? 0 : folded;
+}
 
 /// Heap bytes behind a value beyond its inline footprint (string storage).
 std::uint64_t value_heap_bytes(const Value& v) {
@@ -21,44 +30,49 @@ std::uint64_t value_heap_bytes(const Value& v) {
 // ---------------------------------------------------------------------------
 // ValuePool
 
-ValueRef ValuePool::find_in_chain(std::uint64_t hash, const Value& v) const {
-  auto it = buckets_.find(hash);
-  if (it == buckets_.end()) return kNoValueRef;
-  for (ValueRef r = it->second; r != kNoValueRef; r = next_[r]) {
+ValueRef ValuePool::find_locked(std::uint64_t hash, const Value& v) const {
+  const ValueRef* head = buckets_.find(fold_hash(hash));
+  if (head == nullptr) return kNoValueRef;
+  for (ValueRef r = *head; r != kNoValueRef; r = next_[r]) {
     if (values_[r] == v) return r;
   }
   return kNoValueRef;
+}
+
+ValueRef ValuePool::intern_locked(std::uint64_t hash, const Value& v) {
+  // Re-probe: another thread may have interned v since the shared probe.
+  const ValueRef existing = find_locked(hash, v);
+  if (existing != kNoValueRef) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return existing;
+  }
+  const auto r = static_cast<ValueRef>(values_.push_back(v));
+  auto [head, inserted] = buckets_.try_emplace(fold_hash(hash));
+  next_.push_back(inserted ? kNoValueRef : *head);  // chain old head
+  *head = r;
+  string_bytes_ += value_heap_bytes(values_[r]);
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  return r;
 }
 
 ValueRef ValuePool::intern(const Value& v) {
   const std::uint64_t hash = hash_of(v);
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    const ValueRef r = find_in_chain(hash, v);
+    const ValueRef r = find_locked(hash, v);
     if (r != kNoValueRef) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return r;
     }
   }
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  // Re-probe: another thread may have interned v between the locks.
-  const ValueRef existing = find_in_chain(hash, v);
-  if (existing != kNoValueRef) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return existing;
-  }
-  const auto r = static_cast<ValueRef>(values_.push_back(v));
-  auto [it, inserted] = buckets_.emplace(hash, r);
-  next_.push_back(inserted ? kNoValueRef : it->second);  // chain old head
-  it->second = r;
-  string_bytes_ += value_heap_bytes(values_[r]);
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return r;
+  return intern_locked(hash, v);
 }
 
 ValueRef ValuePool::find(const Value& v) const {
+  const std::uint64_t hash = hash_of(v);
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  return find_in_chain(hash_of(v), v);
+  return find_locked(hash, v);
 }
 
 ValuePool::Stats ValuePool::stats() const {
@@ -68,42 +82,49 @@ ValuePool::Stats ValuePool::stats() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   s.values = values_.size();
   s.bytes = values_.allocated_bytes() + next_.allocated_bytes() +
-            string_bytes_ +
-            buckets_.size() * (sizeof(std::uint64_t) + sizeof(ValueRef) +
-                               2 * sizeof(void*));
+            string_bytes_ + buckets_.allocated_bytes();
   return s;
 }
 
 // ---------------------------------------------------------------------------
 // NamePool
 
-NameRef NamePool::intern(std::string_view name) {
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    auto it = index_.find(name);
-    if (it != index_.end()) return it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(mutex_);
+NameRef NamePool::find_locked(std::string_view name) const {
   auto it = index_.find(name);
-  if (it != index_.end()) return it->second;
+  return it == index_.end() ? kNoName : it->second;
+}
+
+NameRef NamePool::intern_locked(std::string_view name) {
+  const NameRef existing = find_locked(name);
+  if (existing != kNoName) return existing;
   const auto r = static_cast<NameRef>(names_.push_back(std::string(name)));
   index_.emplace(std::string_view(names_[r]), r);
   return r;
 }
 
+NameRef NamePool::intern(std::string_view name) {
+  {
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    const NameRef r = find_locked(name);
+    if (r != kNoName) return r;
+  }
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  return intern_locked(name);
+}
+
 NameRef NamePool::find(std::string_view name) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  auto it = index_.find(name);
-  return it == index_.end() ? kNoName : it->second;
+  return find_locked(name);
 }
 
 // ---------------------------------------------------------------------------
 // TupleStore
 
 namespace {
-/// Scratch for a tuple's value refs during intern/find; thread-local so the
-/// hot path never allocates once warmed up.
+/// Scratch for a tuple's value refs and value hashes during intern/find;
+/// thread-local so the hot path never allocates once warmed up.
 thread_local std::vector<ValueRef> t_scratch_refs;
+thread_local std::vector<std::uint64_t> t_scratch_hashes;
 }  // namespace
 
 TupleStore::~TupleStore() {
@@ -113,18 +134,41 @@ TupleStore::~TupleStore() {
   }
 }
 
+std::uint64_t TupleStore::hash_of(const Tuple& t, NameRef table,
+                                  const ValueRef* refs, std::size_t n) const {
+  if (tuple_hash_ != nullptr) return tuple_hash_(t);
+  // Interned refs identify values, so hashing the refs is hashing the
+  // tuple's content -- without touching a Value again.
+  std::uint64_t h = hash_mix(0xcbf29ce484222325ULL, table);
+  for (std::size_t i = 0; i < n; ++i) h = hash_mix(h, refs[i]);
+  return h;
+}
+
+bool TupleStore::find_refs_locked(const Tuple& t,
+                                  const std::uint64_t* value_hashes,
+                                  NameRef& table,
+                                  std::vector<ValueRef>& refs) const {
+  table = names_.find_locked(t.table());
+  bool complete = table != kNoName;
+  for (std::size_t i = 0; i < t.arity(); ++i) {
+    refs[i] = pool_.find_locked(value_hashes[i], t.at(i));
+    complete = complete && refs[i] != kNoValueRef;
+  }
+  return complete;
+}
+
 TupleRef TupleStore::find_in_chain(std::uint64_t hash, NameRef table,
                                    const ValueRef* refs, std::size_t n) const {
-  auto it = buckets_.find(hash);
-  if (it == buckets_.end()) return kNoTupleRef;
-  for (TupleRef r = it->second; r != kNoTupleRef; r = next_[r]) {
-    if (table_[r] != table || arity_[r] != n) continue;
-    const std::uint32_t begin = begin_[r];
+  const TupleRef* head = buckets_.find(fold_hash(hash));
+  if (head == nullptr) return kNoTupleRef;
+  for (TupleRef r = *head; r != kNoTupleRef; r = headers_[r].next) {
+    const Header& h = headers_[r];
+    if (h.table != table || h.arity != n) continue;
     bool equal = true;
     for (std::size_t i = 0; i < n; ++i) {
       // Value refs are themselves interned, so ref equality is value
       // equality -- no value comparisons on the tuple probe path.
-      if (refs_[begin + i] != refs[i]) {
+      if (refs_[h.begin + i] != refs[i]) {
         equal = false;
         break;
       }
@@ -137,15 +181,16 @@ TupleRef TupleStore::find_in_chain(std::uint64_t hash, NameRef table,
 TupleRef TupleStore::insert_locked(std::uint64_t hash, NameRef table,
                                    const ValueRef* refs, std::size_t n,
                                    [[maybe_unused]] const Tuple& t) {
-  const auto begin = static_cast<std::uint32_t>(refs_.size());
+  Header header;
+  header.table = table;
+  header.begin = static_cast<std::uint32_t>(refs_.size());
+  header.arity = static_cast<std::uint16_t>(n);
   for (std::size_t i = 0; i < n; ++i) refs_.push_back(refs[i]);
-  const auto r = static_cast<TupleRef>(table_.push_back(table));
-  begin_.push_back(begin);
-  arity_.push_back(static_cast<std::uint16_t>(n));
+  auto [head, inserted] = buckets_.try_emplace(fold_hash(hash));
+  header.next = inserted ? kNoTupleRef : *head;
+  const auto r = static_cast<TupleRef>(headers_.push_back(header));
+  *head = r;
   canonical_.publish(canonical_.emplace_default() + 1);
-  auto [it, inserted] = buckets_.emplace(hash, r);
-  next_.push_back(inserted ? kNoTupleRef : it->second);
-  it->second = r;
   misses_.fetch_add(1, std::memory_order_relaxed);
 #ifndef NDEBUG
   // The no-second-copy invariant: the record just written must round-trip to
@@ -163,44 +208,64 @@ TupleRef TupleStore::insert_locked(std::uint64_t hash, NameRef table,
 }
 
 TupleRef TupleStore::intern(const Tuple& t) {
+  const std::size_t n = t.arity();
   std::vector<ValueRef>& refs = t_scratch_refs;
-  refs.clear();
-  refs.reserve(t.arity());
-  for (const Value& v : t.values()) refs.push_back(pool_.intern(v));
-  const NameRef table = names_.intern(t.table());
-  const std::uint64_t hash = hash_of(t);
+  std::vector<std::uint64_t>& value_hashes = t_scratch_hashes;
+  refs.resize(n);
+  value_hashes.resize(n);
+  for (std::size_t i = 0; i < n; ++i) value_hashes[i] = pool_.hash_of(t.at(i));
 
+  // Fast path, one shared lock: the name, every value and the record itself
+  // are already interned (the overwhelmingly common case on a replay).
+  NameRef table = kNoName;
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    const TupleRef r = find_in_chain(hash, table, refs.data(), refs.size());
-    if (r != kNoTupleRef) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return r;
+    if (find_refs_locked(t, value_hashes.data(), table, refs)) {
+      const TupleRef r =
+          find_in_chain(hash_of(t, table, refs.data(), n), table,
+                        refs.data(), n);
+      if (r != kNoTupleRef) {
+        pool_.hits_.fetch_add(n, std::memory_order_relaxed);
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return r;
+      }
     }
   }
+  // Slow path: intern what is missing, then the record, under one unique
+  // lock (re-probing everything another thread may have added meanwhile).
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  const TupleRef existing =
-      find_in_chain(hash, table, refs.data(), refs.size());
+  if (table == kNoName) table = names_.intern_locked(t.table());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (refs[i] == kNoValueRef) {
+      refs[i] = pool_.intern_locked(value_hashes[i], t.at(i));
+    } else {
+      pool_.hits_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  const std::uint64_t hash = hash_of(t, table, refs.data(), n);
+  const TupleRef existing = find_in_chain(hash, table, refs.data(), n);
   if (existing != kNoTupleRef) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     return existing;
   }
-  return insert_locked(hash, table, refs.data(), refs.size(), t);
+  return insert_locked(hash, table, refs.data(), n, t);
 }
 
 TupleRef TupleStore::find(const Tuple& t) const {
+  const std::size_t n = t.arity();
   std::vector<ValueRef>& refs = t_scratch_refs;
-  refs.clear();
-  refs.reserve(t.arity());
-  for (const Value& v : t.values()) {
-    const ValueRef vr = pool_.find(v);
-    if (vr == kNoValueRef) return kNoTupleRef;  // unseen value => unseen tuple
-    refs.push_back(vr);
-  }
-  const NameRef table = names_.find(t.table());
-  if (table == kNoName) return kNoTupleRef;
+  std::vector<std::uint64_t>& value_hashes = t_scratch_hashes;
+  refs.resize(n);
+  value_hashes.resize(n);
+  for (std::size_t i = 0; i < n; ++i) value_hashes[i] = pool_.hash_of(t.at(i));
+  NameRef table = kNoName;
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  return find_in_chain(hash_of(t), table, refs.data(), refs.size());
+  // An unseen name or value means an unseen tuple.
+  if (!find_refs_locked(t, value_hashes.data(), table, refs)) {
+    return kNoTupleRef;
+  }
+  return find_in_chain(hash_of(t, table, refs.data(), n), table, refs.data(),
+                       n);
 }
 
 const Tuple& TupleStore::resolve(TupleRef ref) const {
@@ -214,14 +279,7 @@ const Tuple& TupleStore::resolve(TupleRef ref) const {
   cached = slot.load(std::memory_order_relaxed);
   if (cached != nullptr) return *cached;
 
-  std::vector<Value> values;
-  const std::size_t n = arity_[ref];
-  values.reserve(n);
-  const std::uint32_t begin = begin_[ref];
-  for (std::size_t i = 0; i < n; ++i) {
-    values.push_back(pool_.value(refs_[begin + i]));
-  }
-  auto* fresh = new Tuple(names_.name(table_[ref]), std::move(values));
+  auto* fresh = new Tuple(copy_out(ref));
   slot.store(fresh, std::memory_order_release);
   resolved_.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t bytes = sizeof(Tuple) + fresh->table().capacity() +
@@ -229,6 +287,16 @@ const Tuple& TupleStore::resolve(TupleRef ref) const {
   for (const Value& v : fresh->values()) bytes += value_heap_bytes(v);
   resolved_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   return *fresh;
+}
+
+Tuple TupleStore::copy_out(TupleRef ref) const {
+  const Header& h = headers_[ref];
+  std::vector<Value> values;
+  values.reserve(h.arity);
+  for (std::size_t i = 0; i < h.arity; ++i) {
+    values.push_back(pool_.value(refs_[h.begin + i]));
+  }
+  return Tuple(names_.name(h.table), std::move(values));
 }
 
 bool TupleStore::less(TupleRef a, TupleRef b) const {
@@ -260,13 +328,10 @@ TupleStore::Stats TupleStore::stats() const {
   const ValuePool::Stats vs = pool_.stats();
   s.values = vs.values;
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  s.tuples = table_.size();
-  s.bytes = vs.bytes + table_.allocated_bytes() + begin_.allocated_bytes() +
-            arity_.allocated_bytes() + next_.allocated_bytes() +
-            refs_.allocated_bytes() + canonical_.allocated_bytes() +
+  s.tuples = headers_.size();
+  s.bytes = vs.bytes + headers_.allocated_bytes() + refs_.allocated_bytes() + canonical_.allocated_bytes() +
             resolved_bytes_.load(std::memory_order_relaxed) +
-            buckets_.size() * (sizeof(std::uint64_t) + sizeof(TupleRef) +
-                               2 * sizeof(void*));
+            buckets_.allocated_bytes();
   return s;
 }
 

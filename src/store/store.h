@@ -25,10 +25,13 @@
 // minted during the bad run is still valid while diffing against the good
 // run, and ref equality coincides with structural tuple equality.
 //
-// Thread model: interning is serialized on a shared_mutex; reads of interned
-// records (resolve, value access, name lookup) are lock-free via the
-// chunked-arena storage (chunked_array.h). Multiple replay sessions -- the
-// service's worker pool -- intern into one global store concurrently.
+// Thread model: interning is serialized on one shared_mutex per store, which
+// the store's value and name pools share, so interning a tuple that is
+// already present takes a single shared lock however wide the tuple is;
+// reads of interned records (resolve, value access, name lookup) are
+// lock-free via the chunked-arena storage (chunked_array.h). Multiple replay
+// sessions -- the service's worker pool -- intern into one global store
+// concurrently.
 #pragma once
 
 #include <cstdint>
@@ -43,21 +46,10 @@
 #include "ndlog/value.h"
 #include "obs/metrics.h"
 #include "store/chunked_array.h"
+#include "store/refs.h"
+#include "util/flat_map.h"
 
 namespace dp {
-
-/// Handle of an interned Value. Equal refs <=> equal values (per pool).
-using ValueRef = std::uint32_t;
-inline constexpr ValueRef kNoValueRef = static_cast<ValueRef>(-1);
-
-/// Handle of an interned Tuple. Equal refs <=> structurally equal tuples
-/// (per store).
-using TupleRef = std::uint32_t;
-inline constexpr TupleRef kNoTupleRef = static_cast<TupleRef>(-1);
-
-/// Handle of an interned name (table or rule). kNoName renders as "".
-using NameRef = std::uint32_t;
-inline constexpr NameRef kNoName = static_cast<NameRef>(-1);
 
 /// Deduplicating value storage. Each distinct Value is stored once; interning
 /// an equal value again returns the original ref (hash-consing with full
@@ -68,7 +60,10 @@ class ValuePool {
   /// value into one collision chain; nullptr means Value::hash.
   using HashFn = std::uint64_t (*)(const Value&);
 
-  explicit ValuePool(HashFn hash = nullptr) : hash_fn_(hash) {}
+  /// `mutex` is the lock guarding the pool; nullptr means a private one.
+  /// TupleStore passes its own, so one lock covers a whole tuple intern.
+  explicit ValuePool(HashFn hash = nullptr, std::shared_mutex* mutex = nullptr)
+      : hash_fn_(hash), mutex_(mutex != nullptr ? *mutex : own_mutex_) {}
 
   ValuePool(const ValuePool&) = delete;
   ValuePool& operator=(const ValuePool&) = delete;
@@ -93,15 +88,20 @@ class ValuePool {
   [[nodiscard]] Stats stats() const;
 
  private:
+  friend class TupleStore;
+
   [[nodiscard]] std::uint64_t hash_of(const Value& v) const {
     return hash_fn_ != nullptr ? hash_fn_(v) : v.hash();
   }
-  [[nodiscard]] ValueRef find_in_chain(std::uint64_t hash,
-                                       const Value& v) const;
+  // Caller holds mutex_ (shared for the find, unique for the intern).
+  [[nodiscard]] ValueRef find_locked(std::uint64_t hash, const Value& v) const;
+  ValueRef intern_locked(std::uint64_t hash, const Value& v);
 
   HashFn hash_fn_;
-  mutable std::shared_mutex mutex_;
-  std::unordered_map<std::uint64_t, ValueRef> buckets_;  // hash -> chain head
+  mutable std::shared_mutex own_mutex_;
+  std::shared_mutex& mutex_;
+  // Folded hash -> collision-chain head.
+  FlatMap32<ValueRef> buckets_;
   store_detail::ChunkedArray<Value> values_;
   store_detail::ChunkedArray<ValueRef> next_;  // same-hash collision chain
   std::uint64_t string_bytes_ = 0;             // heap behind string values
@@ -113,7 +113,9 @@ class ValuePool {
 /// so vertices and columnar tuple records store 4-byte ids).
 class NamePool {
  public:
-  NamePool() = default;
+  /// `mutex` as for ValuePool: nullptr means a private lock.
+  explicit NamePool(std::shared_mutex* mutex = nullptr)
+      : mutex_(mutex != nullptr ? *mutex : own_mutex_) {}
   NamePool(const NamePool&) = delete;
   NamePool& operator=(const NamePool&) = delete;
 
@@ -129,32 +131,42 @@ class NamePool {
   [[nodiscard]] std::size_t size() const { return names_.size(); }
 
  private:
-  mutable std::shared_mutex mutex_;
+  friend class TupleStore;
+
+  // Caller holds mutex_ (shared for the find, unique for the intern).
+  [[nodiscard]] NameRef find_locked(std::string_view name) const;
+  NameRef intern_locked(std::string_view name);
+
+  mutable std::shared_mutex own_mutex_;
+  std::shared_mutex& mutex_;
   // Keys view into the interned strings, whose heap buffers never move.
   std::unordered_map<std::string_view, NameRef> index_;
   store_detail::ChunkedArray<std::string> names_;
 };
 
 /// Hash-consed, columnar tuple storage. A record is a table-name id plus a
-/// contiguous span of ValueRefs in a flat arena; the struct-of-arrays layout
-/// keeps a record at ~10 + 4*arity bytes regardless of how many vertices,
-/// log entries, or proof-tree nodes reference it.
+/// contiguous span of ValueRefs in a flat arena; a record costs a 16-byte
+/// header plus 4*arity bytes regardless of how many vertices, log entries,
+/// or proof-tree nodes reference it.
 class TupleStore {
  public:
   using TupleHashFn = std::uint64_t (*)(const Tuple&);
 
-  /// Hash functions are injectable for collision testing; nullptr means the
-  /// structural Value::hash / Tuple::hash.
+  /// Hash functions are injectable for collision testing; nullptr means
+  /// Value::hash for values and, for tuples, a hash of the (table NameRef,
+  /// ValueRefs) record the intern has already built -- no Value is hashed
+  /// twice.
   explicit TupleStore(ValuePool::HashFn value_hash = nullptr,
                       TupleHashFn tuple_hash = nullptr)
-      : tuple_hash_(tuple_hash), pool_(value_hash) {}
+      : tuple_hash_(tuple_hash), pool_(value_hash, &mutex_), names_(&mutex_) {}
 
   TupleStore(const TupleStore&) = delete;
   TupleStore& operator=(const TupleStore&) = delete;
   ~TupleStore();
 
   /// Returns the ref of `t`, inserting it if unseen. An equal tuple always
-  /// returns the same ref, so ref comparison is tuple equality.
+  /// returns the same ref, so ref comparison is tuple equality. A tuple
+  /// already present costs one shared lock.
   TupleRef intern(const Tuple& t);
 
   /// Ref of `t` if interned, else kNoTupleRef. Never inserts (lookups of
@@ -166,17 +178,26 @@ class TupleStore {
   /// stable for the lifetime of the store.
   [[nodiscard]] const Tuple& resolve(TupleRef ref) const;
 
+  /// A fresh Tuple built from `ref`'s columns, without touching (or
+  /// growing) the canonical cache -- for callers that need an owned copy
+  /// anyway, such as the engine scheduling a logged tuple.
+  [[nodiscard]] Tuple copy_out(TupleRef ref) const;
+
   // --- columnar access (no materialization) ---
-  [[nodiscard]] NameRef table_id(TupleRef ref) const { return table_[ref]; }
-  [[nodiscard]] const std::string& table_name(TupleRef ref) const {
-    return names_.name(table_[ref]);
+  [[nodiscard]] NameRef table_id(TupleRef ref) const {
+    return headers_[ref].table;
   }
-  [[nodiscard]] std::size_t arity(TupleRef ref) const { return arity_[ref]; }
+  [[nodiscard]] const std::string& table_name(TupleRef ref) const {
+    return names_.name(headers_[ref].table);
+  }
+  [[nodiscard]] std::size_t arity(TupleRef ref) const {
+    return headers_[ref].arity;
+  }
   [[nodiscard]] const Value& value(TupleRef ref, std::size_t i) const {
-    return pool_.value(refs_[begin_[ref] + i]);
+    return pool_.value(refs_[headers_[ref].begin + i]);
   }
   [[nodiscard]] ValueRef value_ref(TupleRef ref, std::size_t i) const {
-    return refs_[begin_[ref] + i];
+    return refs_[headers_[ref].begin + i];
   }
   /// The location specifier (field 0), for sharding and node filters.
   [[nodiscard]] const NodeName& location(TupleRef ref) const {
@@ -192,7 +213,7 @@ class TupleStore {
     return resolve(ref).to_string();
   }
 
-  [[nodiscard]] std::size_t size() const { return table_.size(); }
+  [[nodiscard]] std::size_t size() const { return headers_.size(); }
 
   [[nodiscard]] ValuePool& values() { return pool_; }
   [[nodiscard]] const ValuePool& values() const { return pool_; }
@@ -221,9 +242,13 @@ class TupleStore {
   void publish_metrics(obs::MetricsRegistry& registry) const;
 
  private:
-  [[nodiscard]] std::uint64_t hash_of(const Tuple& t) const {
-    return tuple_hash_ != nullptr ? tuple_hash_(t) : t.hash();
-  }
+  [[nodiscard]] std::uint64_t hash_of(const Tuple& t, NameRef table,
+                                      const ValueRef* refs,
+                                      std::size_t n) const;
+  /// Looks up the name and value refs of `t` under a held lock, filling
+  /// `refs` (kNoValueRef for unseen values); false if anything is unseen.
+  bool find_refs_locked(const Tuple& t, const std::uint64_t* value_hashes,
+                        NameRef& table, std::vector<ValueRef>& refs) const;
   [[nodiscard]] TupleRef find_in_chain(std::uint64_t hash, NameRef table,
                                        const ValueRef* refs,
                                        std::size_t n) const;
@@ -233,18 +258,26 @@ class TupleStore {
                          const ValueRef* refs, std::size_t n, const Tuple& t);
 
   TupleHashFn tuple_hash_;
+  // One lock for the tuple index and both pools (declared first: the pools
+  // are constructed over it).
+  mutable std::shared_mutex mutex_;
   ValuePool pool_;
   NamePool names_;
 
-  mutable std::shared_mutex mutex_;
-  std::unordered_map<std::uint64_t, TupleRef> buckets_;  // hash -> chain head
+  // Folded hash -> collision-chain head.
+  FlatMap32<TupleRef> buckets_;
 
-  // Columnar record storage (struct of arrays).
-  store_detail::ChunkedArray<NameRef> table_;
-  store_detail::ChunkedArray<std::uint32_t> begin_;  // offset into refs_
-  store_detail::ChunkedArray<std::uint16_t> arity_;
-  store_detail::ChunkedArray<TupleRef> next_;  // same-hash collision chain
-  // Flat ValueRef arena; record `r` owns refs_[begin_[r] .. +arity_[r]).
+  // Record headers: everything a probe of record `r` reads before its
+  // values, packed so one chain step touches one cache line (separate
+  // columns cost a miss each).
+  struct Header {
+    NameRef table = kNoName;
+    std::uint32_t begin = 0;  // offset into refs_
+    TupleRef next = kNoTupleRef;  // same-bucket collision chain
+    std::uint16_t arity = 0;
+  };
+  store_detail::ChunkedArray<Header> headers_;
+  // Flat ValueRef arena; record `r` owns refs_[begin .. begin + arity).
   store_detail::ChunkedArray<ValueRef> refs_;
   // Lazily materialized canonical tuples (resolve()).
   mutable store_detail::ChunkedArray<std::atomic<const Tuple*>> canonical_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ndlog/parser.h"
+#include "provenance/recorder.h"
 #include "runtime/engine.h"
 
 namespace dp {
@@ -206,6 +207,28 @@ TEST(Engine, MultipleSupportsSurviveSingleRetraction) {
   engine.schedule_delete(make("b", {"n", 1, 10}), 20);
   engine.run();
   EXPECT_FALSE(engine.is_live(make("joined", {"n", 1, 10})));
+}
+
+TEST(Engine, TeardownMidRunWhileSupportMapsGrowIsClean) {
+  // Stop a run halfway -- derivations queued, the flat support maps in the
+  // middle of their growth and already erased from by retractions -- and
+  // drop the engine and its recorder there. Under ASan this must neither
+  // leak nor touch freed slots.
+  ProvenanceRecorder recorder;
+  {
+    Engine engine((parse_program(kJoinProgram)));
+    engine.add_observer(&recorder);
+    for (int x = 0; x < 600; ++x) {
+      engine.schedule_insert(make("a", {"n", x}), x);
+      engine.schedule_insert(make("b", {"n", x, x * 10}), x);
+      if (x % 3 == 0) engine.schedule_delete(make("b", {"n", x, x * 10}), x + 2);
+    }
+    engine.run_until(300);
+    EXPECT_GT(engine.support_entries(), 100u);
+    EXPECT_LT(engine.support_entries(), 600u);
+    EXPECT_GT(engine.stats().underivations, 0u);
+  }
+  EXPECT_GT(recorder.graph().size(), 0u);
 }
 
 TEST(Engine, DeterministicStatsAcrossRuns) {

@@ -935,6 +935,54 @@ TEST(Profiler, DeepNestingBeyondTheFrameCapStaysBalanced) {
   profiler.clear();
 }
 
+TEST(Profiler, EnginesDestroyedWhileTheSamplerRunsLeaveNoDanglingLabels) {
+  // Every rule firing pushes its "rule:<name>" span label onto the scope
+  // stack, and the sampler thread copies frame names it read before its
+  // seqlock recheck. Those labels must outlive the engine that fired them:
+  // here engines are built, run and destroyed back to back on four threads
+  // while the sampler ticks, so any label freed with its engine is a read of
+  // freed memory (a data race under TSan, use-after-free under ASan).
+  const Program program = parse_program(R"(
+    table base(2) base mutable keys(0).
+    table mid(2) derived.
+    table out(2) derived.
+    rule hop mid(@N, V) :- base(@N, V).
+    rule land out(@N, V) :- mid(@N, V).
+  )");
+  obs::ScopeProfiler& profiler = obs::ScopeProfiler::instance();
+  profiler.clear();
+  profiler.start_sampler(std::chrono::milliseconds(1));
+
+  // Each worker destroys at least kEngines engines (however slow the build
+  // is), and keeps going until the sampler has had time to tick.
+  constexpr int kEngines = 25;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> engines{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&] {
+      for (int i = 0; i < kEngines || !stop.load(std::memory_order_relaxed);
+           ++i) {
+        Engine engine(program, {});
+        for (int v = 0; v < 16; ++v) {
+          engine.schedule_insert(Tuple("base", {"n1", v}), v);
+        }
+        engine.run();
+        engines.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& worker : workers) worker.join();
+  profiler.stop_sampler();
+  profiler.set_enabled(false);
+
+  EXPECT_GE(engines.load(), 4u * kEngines);
+  EXPECT_GT(profiler.samples(), 0u);
+  profiler.clear();
+}
+
 // One full SDN1 diagnosis under explicit engine options.
 std::string diagnose_sdn1_fingerprint_with(const ReplayOptions& options) {
   sdn::Scenario s = sdn::sdn1();

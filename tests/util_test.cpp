@@ -3,8 +3,10 @@
 
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "util/flat_map.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/ip.h"
@@ -209,6 +211,102 @@ TEST(Logging, ConcurrentEmissionIsSafe) {
   }
   for (std::thread& t : threads) t.join();
   set_log_level(saved);
+}
+
+// ------------------------------------------------------------ FlatMap32 --
+
+/// Every key lands on one home slot: the whole map is a single probe run,
+/// so insert, lookup and backward-shift erase all work at their worst case.
+struct CollidingHash32 {
+  std::uint64_t operator()(std::uint32_t) const { return 7; }
+};
+
+/// Drives a FlatMap32 and a std::unordered_map oracle through the same
+/// random inserts, updates, erases and lookups (with repeated growth), then
+/// checks they agree entry for entry.
+template <typename Hash>
+void check_flat_map_against_oracle(std::uint64_t seed, std::uint32_t universe,
+                                   int ops) {
+  FlatMap32<std::vector<std::uint32_t>, Hash> map;
+  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> oracle;
+  Rng rng{seed};
+  for (int op = 0; op < ops; ++op) {
+    const auto key = static_cast<std::uint32_t>(rng.next_below(universe));
+    switch (rng.next_below(4)) {
+      case 0:
+      case 1: {  // insert-or-append (operator[] default-constructs)
+        map[key].push_back(static_cast<std::uint32_t>(op));
+        oracle[key].push_back(static_cast<std::uint32_t>(op));
+        break;
+      }
+      case 2: {  // erase
+        EXPECT_EQ(map.erase(key), oracle.erase(key) == 1) << "key " << key;
+        break;
+      }
+      default: {  // find
+        const auto* found = map.find(key);
+        const auto it = oracle.find(key);
+        ASSERT_EQ(found != nullptr, it != oracle.end()) << "key " << key;
+        if (found != nullptr) {
+          EXPECT_EQ(*found, it->second) << "key " << key;
+        }
+      }
+    }
+    ASSERT_EQ(map.size(), oracle.size());
+  }
+  // Growth never leaves the map more than 3/4 full.
+  EXPECT_LE(map.size() * 4, map.capacity() * 3);
+  std::size_t visited = 0;
+  map.for_each([&](std::uint32_t key, const std::vector<std::uint32_t>& v) {
+    ++visited;
+    const auto it = oracle.find(key);
+    ASSERT_NE(it, oracle.end()) << "key " << key;
+    EXPECT_EQ(v, it->second) << "key " << key;
+  });
+  EXPECT_EQ(visited, oracle.size());
+  for (const auto& [key, values] : oracle) {
+    const auto* found = map.find(key);
+    ASSERT_NE(found, nullptr) << "key " << key;
+    EXPECT_EQ(*found, values);
+  }
+}
+
+TEST(FlatMap32, RandomOpsAgreeWithUnorderedMapOracle) {
+  for (const std::uint64_t seed : {1u, 2026u, 0xd1ff9u}) {
+    // A small universe churns erase/re-insert; a large one drives growth
+    // through many doublings with sequential-ish ids like TupleRefs.
+    check_flat_map_against_oracle<IdentityHash32>(seed, 64, 4000);
+    check_flat_map_against_oracle<IdentityHash32>(seed, 1u << 20, 20000);
+  }
+}
+
+TEST(FlatMap32, ForcedCollisionsStillSeparateKeys) {
+  for (const std::uint64_t seed : {3u, 4u}) {
+    check_flat_map_against_oracle<CollidingHash32>(seed, 200, 3000);
+  }
+}
+
+TEST(FlatMap32, SequentialKeysGrowAndEraseCleanly) {
+  FlatMap32<std::int64_t> map;
+  for (std::uint32_t k = 0; k < 10000; ++k) map[k] = k * 3;
+  EXPECT_EQ(map.size(), 10000u);
+  EXPECT_EQ(map.capacity(), 16384u);  // sized by entries, not by key range
+  for (std::uint32_t k = 0; k < 10000; k += 2) EXPECT_TRUE(map.erase(k));
+  EXPECT_FALSE(map.erase(0));
+  for (std::uint32_t k = 0; k < 10000; ++k) {
+    const std::int64_t* v = map.find(k);
+    if (k % 2 == 0) {
+      EXPECT_EQ(v, nullptr) << k;
+    } else {
+      ASSERT_NE(v, nullptr) << k;
+      EXPECT_EQ(*v, k * 3);
+    }
+  }
+  for (std::uint32_t k = 1; k < 10000; k += 2) EXPECT_TRUE(map.erase(k));
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.find(1), nullptr);
+  map[5] = 1;
+  EXPECT_EQ(*map.find(5), 1);
 }
 
 }  // namespace
